@@ -117,10 +117,13 @@ impl From<std::io::Error> for CachePersistError {
 /// Magic + version line of the on-disk format (see [`BoundsCache::save_to`]).
 const PERSIST_MAGIC: &str = "easeml-bounds-cache v1";
 
-/// FNV-1a over the entry block, the integrity check of the on-disk format.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over the concatenation of `parts` — the workspace's one
+/// content hash: the integrity check of the cache dumps, and the serving
+/// layer's testset and prediction digests.
+#[must_use]
+pub fn fnv1a64(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -442,7 +445,7 @@ fn save_dump(path: &Path, magic: &str, lines: &[String]) -> Result<usize, CacheP
     let text = format!(
         "{magic} count={}\n{body}checksum={:016x}\n",
         lines.len(),
-        fnv1a64(body.as_bytes()),
+        fnv1a64(&[body.as_bytes()]),
     );
     let tmp = path.with_extension("tmp");
     {
@@ -501,7 +504,7 @@ fn load_dump<E>(
             &format!("header promised {count} entries, found {}", entries.len()),
         ));
     }
-    if fnv1a64(body.as_bytes()) != checksum {
+    if fnv1a64(&[body.as_bytes()]) != checksum {
         return Err(corrupt(last_line, "checksum mismatch"));
     }
     Ok(entries)
@@ -885,6 +888,33 @@ mod tests {
         );
         std::fs::remove_file(path).unwrap();
         std::fs::remove_file(path2).unwrap();
+    }
+
+    /// The hash is pinned: the published FNV-1a vectors, split across
+    /// parts at any boundary, and a dump written before the hash moved
+    /// out of this module still loads (its checksum still verifies).
+    #[test]
+    fn fnv1a64_known_vectors_and_pinned_dump() {
+        assert_eq!(fnv1a64(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64(&[b"foo", b"", b"bar"]), fnv1a64(&[b"foobar"]));
+
+        let dump = "easeml-bounds-cache v1 count=2\n\
+                    0 1 3fb9999999999900 c012666666666600 271\n\
+                    0 2 3fa9999999999900 c014000000000000 2500\n\
+                    checksum=b5cb17b8ab487558\n";
+        let path = temp_path("pinned.v1");
+        std::fs::write(&path, dump).unwrap();
+        let cache = BoundsCache::new();
+        assert_eq!(cache.load_from(&path).unwrap(), 2);
+        let k = BoundKind::ExactBinomialSampleSize;
+        assert_eq!(cache.lookup(k, Tail::TwoSided, 0.05, -5.0), Some(2_500));
+        assert_eq!(cache.lookup(k, Tail::OneSided, 0.1, -4.6), Some(271));
+        // And today's writer reproduces the same bytes.
+        cache.save_to(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), dump);
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Measurement layer of the engine: turns predictions + (lazily acquired)
-//! labels into clause-level estimates.
+//! labels into integer counts, and counts into clause-level estimates.
 //!
 //! The key optimization (Technical Observation 2, §4) is that the
 //! prediction difference `d` needs no labels at all, and a pure
 //! difference `n − o` only needs labels where the two models *disagree*:
-//! on agreeing points `nᵢ − oᵢ = 0` regardless of the label. The
-//! evaluator exploits both, requesting labels from the oracle only when a
-//! clause genuinely needs them and reporting how many fresh labels each
-//! evaluation consumed.
+//! on agreeing points `nᵢ − oᵢ = 0` regardless of the label. The one
+//! entry point, [`Measurement::counts`], exploits both, requesting labels
+//! from the oracle only when a formula genuinely needs them and reporting
+//! how many fresh labels each evaluation consumed.
 
 use super::testset::{LabelOracle, Testset};
 use crate::dsl::{Clause, Formula, LinearForm, Var};
@@ -18,9 +18,8 @@ use std::ops::Range;
 /// A label (or prediction) vector bit-packed as per-class bitmaps: bit
 /// `i % 64` of word `i / 64` in class `c`'s bitmap is set iff item `i`
 /// carries class `c`. Equality tests between two vectors then become
-/// word-level AND + popcount instead of per-item compares — the
-/// measurement fast lane for `d`-only and disagreements-only conditions,
-/// where no (or few) oracle calls interrupt the scan.
+/// word-level AND + popcount instead of per-item compares — the input
+/// of [`Measurement::counts`]'s packed kernel.
 ///
 /// Capped at [`ClassBitmaps::MAX_CLASSES`] classes to bound the packed
 /// size at 64 bits per item.
@@ -140,9 +139,10 @@ pub fn formula_label_demand(formula: &Formula) -> LabelDemand {
 }
 
 /// Evaluation counts derived by measuring prediction vectors against a
-/// (possibly partially labelled) testset — the wire currency of the
-/// serving layer's counts gate, produced server-side by
-/// [`Measurement::derive_counts`].
+/// (possibly partially labelled) testset through
+/// [`Measurement::counts`] — the wire currency of the serving layer's
+/// counts gate, and the integers the engine's clause values are computed
+/// from ([`MeasuredCounts::clause_value`]).
 ///
 /// `new_correct` and `old_correct` credit *both* models on items whose
 /// label stayed unknown, so the pair is exact exactly where the formula's
@@ -166,6 +166,60 @@ pub struct MeasuredCounts {
     pub changed: u64,
     /// Fresh labels pulled from the oracle by this derivation.
     pub labels_spent: u64,
+}
+
+impl MeasuredCounts {
+    /// The left-hand side of a plain (`n`/`o`/`d`) clause over the
+    /// measured items, computed the way the cheapest sufficient
+    /// measurement strategy defines it:
+    ///
+    /// * `d` terms from the label-free `changed` count;
+    /// * where the `n` and `o` coefficients cancel (`αₙ = −αₒ`), from the
+    ///   difference `new_correct − old_correct`, which only needs the
+    ///   disagreements labelled;
+    /// * anything else from the individual (fully labelled) counts.
+    ///
+    /// # Errors
+    ///
+    /// Rejects metric clauses loudly: `f1(...)`/`topk(...)` are not
+    /// linear in these counts, so silently evaluating the plain terms
+    /// would report a wrong left-hand side.
+    pub fn clause_value(&self, clause: &Clause) -> Result<f64> {
+        let form = LinearForm::from_expr(&clause.expr);
+        if form.has_metric() {
+            return Err(CiError::Semantic(format!(
+                "clause `{clause}` reads metric variables (f1/topk); evaluate it from \
+                 per-class counts, not the scalar counts"
+            )));
+        }
+        let len = self.samples.max(1) as f64;
+        let a_n = form.coefficient(Var::N);
+        let a_o = form.coefficient(Var::O);
+        let a_d = form.coefficient(Var::D);
+        let d_part = if a_d != 0.0 {
+            a_d * (self.changed as f64 / len)
+        } else {
+            0.0
+        };
+        if a_n == 0.0 && a_o == 0.0 {
+            return Ok(d_part);
+        }
+        if a_n == -a_o {
+            let delta = self.new_correct as i64 - self.old_correct as i64;
+            return Ok(a_n * (delta as f64 / len) + d_part);
+        }
+        let n_part = if a_n != 0.0 {
+            a_n * (self.new_correct as f64 / len)
+        } else {
+            0.0
+        };
+        let o_part = if a_o != 0.0 {
+            a_o * (self.old_correct as f64 / len)
+        } else {
+            0.0
+        };
+        Ok(n_part + o_part + d_part)
+    }
 }
 
 /// Per-class confusion counts over the *labelled* portion of a measured
@@ -348,6 +402,8 @@ pub struct Measurement<'a> {
     oracle: Option<&'a mut (dyn LabelOracle + 'static)>,
     old: &'a [u32],
     new: &'a [u32],
+    classes: Option<u32>,
+    truth: Option<&'a ClassBitmaps>,
     labels_requested: u64,
 }
 
@@ -356,6 +412,8 @@ impl std::fmt::Debug for Measurement<'_> {
         f.debug_struct("Measurement")
             .field("testset_len", &self.testset.len())
             .field("has_oracle", &self.oracle.is_some())
+            .field("classes", &self.classes)
+            .field("packed_truth", &self.truth.is_some())
             .field("labels_requested", &self.labels_requested)
             .finish_non_exhaustive()
     }
@@ -375,100 +433,39 @@ impl<'a> Measurement<'a> {
         new: &'a [u32],
     ) -> Result<Self> {
         let want = testset.len();
-        if old.len() != want {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: old.len(),
-                want,
+        for got in [old.len(), new.len()] {
+            if got != want {
+                return Err(EngineError::PredictionLengthMismatch { got, want }.into());
             }
-            .into());
-        }
-        if new.len() != want {
-            return Err(EngineError::PredictionLengthMismatch {
-                got: new.len(),
-                want,
-            }
-            .into());
         }
         Ok(Measurement {
             testset,
             oracle,
             old,
             new,
+            classes: None,
+            truth: None,
             labels_requested: 0,
         })
+    }
+
+    /// Declare the testset's class count, which metric formulas need,
+    /// and optionally its ground truth bit-packed per class, which lets
+    /// whole-pool measurements run on the packed kernel.
+    ///
+    /// `truth` must pack the same ground truth the testset's cached
+    /// labels come from (label `i` known ⇒ it equals the truth at `i`).
+    #[must_use]
+    pub fn with_classes(mut self, classes: u32, truth: Option<&'a ClassBitmaps>) -> Self {
+        self.classes = Some(classes);
+        self.truth = truth;
+        self
     }
 
     /// Fresh labels pulled from the oracle so far.
     #[must_use]
     pub fn labels_requested(&self) -> u64 {
         self.labels_requested
-    }
-
-    /// Label-free estimate of `d` over an index range.
-    #[must_use]
-    pub fn difference(&self, range: Range<usize>) -> f64 {
-        let len = range.len().max(1);
-        let changed = range
-            .clone()
-            .filter(|&i| self.new[i] != self.old[i])
-            .count();
-        changed as f64 / len as f64
-    }
-
-    /// Accuracy of the *new* model over a range (labels every item).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn new_accuracy(&mut self, range: Range<usize>) -> Result<f64> {
-        self.accuracy_of(range, /* new */ true)
-    }
-
-    /// Accuracy of the *old* model over a range (labels every item).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn old_accuracy(&mut self, range: Range<usize>) -> Result<f64> {
-        self.accuracy_of(range, /* new */ false)
-    }
-
-    fn accuracy_of(&mut self, range: Range<usize>, new: bool) -> Result<f64> {
-        let len = range.len().max(1);
-        let mut correct = 0usize;
-        for i in range {
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
-            }
-            let pred = if new { self.new[i] } else { self.old[i] };
-            if pred == label {
-                correct += 1;
-            }
-        }
-        Ok(correct as f64 / len as f64)
-    }
-
-    /// Directly measure `n − o` over a range via the disagreement trick:
-    /// only items where predictions differ are labelled (§4.1.2).
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures.
-    pub fn accuracy_difference(&mut self, range: Range<usize>) -> Result<f64> {
-        let len = range.len().max(1);
-        let mut delta = 0i64;
-        for i in range {
-            if self.new[i] == self.old[i] {
-                continue; // contributes 0 regardless of the label
-            }
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
-            }
-            delta += i64::from(self.new[i] == label) - i64::from(self.old[i] == label);
-        }
-        Ok(delta as f64 / len as f64)
     }
 
     /// Derive [`MeasuredCounts`] for a formula over a range, spending
@@ -479,128 +476,131 @@ impl<'a> Measurement<'a> {
     ///   models disagree (§4.1.2 difference trick);
     /// * [`LabelDemand::Full`]: labels every item in the range.
     ///
-    /// Items whose label is already cached in the testset are scored
-    /// exactly regardless of demand; items that stay unlabelled credit
-    /// both models (see [`MeasuredCounts`] for why this convention keeps
-    /// every decision-relevant statistic exact).
+    /// Fresh labels are pulled in ascending item order. Items whose label
+    /// is already cached are scored exactly regardless of demand; items
+    /// that stay unlabelled credit both models (see [`MeasuredCounts`]).
+    /// Metric formulas (demand Full) also tally the [`PerClassCounts`];
+    /// plain formulas return `None` for them.
+    ///
+    /// The bit-packed kernel serves the call when packed truth was
+    /// supplied ([`Measurement::with_classes`]), the range is the whole
+    /// pool, and both prediction vectors pack; the per-item kernel serves
+    /// every other call. The two are bit-identical in counts, pool state,
+    /// and oracle spend.
     ///
     /// # Errors
     ///
     /// Propagates label-acquisition failures. Rejects metric formulas
-    /// loudly: scalar counts cannot carry `f1(...)`/`topk(...)`
-    /// statistics, and measuring them here would silently produce counts
-    /// the gate cannot evaluate — use
-    /// [`Measurement::derive_counts_with_classes`].
-    pub fn derive_counts(
+    /// without a declared class count, formulas the class count cannot
+    /// back ([`validate_metric_formula`]), and — for metric formulas —
+    /// labels or predictions outside `0..classes`.
+    pub fn counts(
         &mut self,
         formula: &Formula,
         range: Range<usize>,
-    ) -> Result<MeasuredCounts> {
-        if formula.has_metric() {
-            return Err(CiError::Semantic(
-                "formula reads metric variables (f1/topk) that scalar counts cannot carry; \
-                 derive per-class confusion counts with derive_counts_with_classes"
-                    .into(),
-            ));
-        }
+    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
+        let classes = if formula.has_metric() {
+            let classes = self.classes.ok_or_else(|| {
+                CiError::Semantic(
+                    "formula reads metric variables (f1/topk) that scalar counts cannot carry; \
+                     declare the testset's class count to derive per-class confusion counts"
+                        .into(),
+                )
+            })?;
+            validate_metric_formula(formula, classes)?;
+            Some(classes)
+        } else {
+            None
+        };
         let demand = formula_label_demand(formula);
         let spent_before = self.labels_requested;
-        let mut changed = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
+        let (mut counts, per_class) = match self.packed_inputs(&range) {
+            Some((truth, old, new)) => {
+                self.packed_kernel(demand, classes.is_some(), truth, &old, &new)?
+            }
+            None => self.per_item_kernel(demand, classes, range)?,
+        };
+        counts.labels_spent = self.labels_requested - spent_before;
+        Ok((counts, per_class))
+    }
+
+    /// The packed truth and both prediction vectors packed alike, when
+    /// the packed kernel may serve a measurement of `range`.
+    fn packed_inputs(
+        &self,
+        range: &Range<usize>,
+    ) -> Option<(&'a ClassBitmaps, ClassBitmaps, ClassBitmaps)> {
+        let truth = self.truth?;
+        let whole = range.start == 0 && range.end == self.testset.len();
+        if !whole || truth.len() != range.end || self.classes != Some(truth.classes()) {
+            return None;
+        }
+        Some((
+            truth,
+            ClassBitmaps::from_labels(self.old, truth.classes())?,
+            ClassBitmaps::from_labels(self.new, truth.classes())?,
+        ))
+    }
+
+    /// Pull (or read the cached) label of item `i`.
+    fn require_label(&mut self, i: usize) -> Result<u32> {
+        let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
+        self.labels_requested += u64::from(fresh);
+        Ok(label)
+    }
+
+    /// The per-item kernel: one pass over `range`, in item order. It
+    /// serves sub-ranges (the engine's plan phases) and pools the packed
+    /// kernel cannot represent, and is the packed kernel's reference.
+    fn per_item_kernel(
+        &mut self,
+        demand: LabelDemand,
+        classes: Option<u32>,
+        range: Range<usize>,
+    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
+        let mut per_class = classes.map(PerClassCounts::zeroed);
+        let (mut changed, mut new_correct, mut old_correct) = (0u64, 0u64, 0u64);
         for i in range.clone() {
-            let disagree = self.new[i] != self.old[i];
-            changed += u64::from(disagree);
+            let (old, new) = (self.old[i], self.new[i]);
+            changed += u64::from(old != new);
             let need = match demand {
                 LabelDemand::Free => false,
-                LabelDemand::Disagreements => disagree,
+                LabelDemand::Disagreements => old != new,
                 LabelDemand::Full => true,
             };
             let label = if need {
-                let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-                if fresh {
-                    self.labels_requested += 1;
-                }
-                Some(label)
+                Some(self.require_label(i)?)
             } else {
                 self.testset.label(i)
             };
-            match label {
-                Some(label) => {
-                    new_correct += u64::from(self.new[i] == label);
-                    old_correct += u64::from(self.old[i] == label);
+            // Unknown label: identical credit to both models. The formula
+            // never reads the statistics this distorts (or the item would
+            // have been labelled above).
+            let Some(label) = label else {
+                new_correct += 1;
+                old_correct += 1;
+                continue;
+            };
+            new_correct += u64::from(new == label);
+            old_correct += u64::from(old == label);
+            if let Some(pc) = per_class.as_mut() {
+                for (what, value) in [
+                    ("label", label),
+                    ("old prediction", old),
+                    ("new prediction", new),
+                ] {
+                    if value >= pc.classes {
+                        return Err(CiError::Semantic(format!(
+                            "{what} {value} for item {i} is outside the declared class range 0..{}",
+                            pc.classes
+                        )));
+                    }
                 }
-                // Unknown label: identical credit to both models. The
-                // formula never reads the statistics this distorts (or
-                // the item would have been labelled above).
-                None => {
-                    new_correct += 1;
-                    old_correct += 1;
-                }
-            }
-        }
-        Ok(MeasuredCounts {
-            samples: range.len() as u64,
-            new_correct,
-            old_correct,
-            changed,
-            labels_spent: self.labels_requested - spent_before,
-        })
-    }
-
-    /// [`Measurement::derive_counts`] extended with the per-class
-    /// confusion counts metric formulas need. Plain formulas delegate to
-    /// the demand-driven path and return `None` for the per-class half;
-    /// metric formulas label every item in the range ([`LabelDemand::Full`])
-    /// and tally [`PerClassCounts`] alongside the scalar counts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures; rejects formulas the
-    /// declared class count cannot back ([`validate_metric_formula`]) and
-    /// labels or predictions outside `0..classes`.
-    pub fn derive_counts_with_classes(
-        &mut self,
-        formula: &Formula,
-        range: Range<usize>,
-        classes: u32,
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
-        if !formula.has_metric() {
-            return Ok((self.derive_counts(formula, range)?, None));
-        }
-        validate_metric_formula(formula, classes)?;
-        let spent_before = self.labels_requested;
-        let mut per_class = PerClassCounts::zeroed(classes);
-        let mut changed = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for i in range.clone() {
-            changed += u64::from(self.new[i] != self.old[i]);
-            let (label, fresh) = self.testset.require_label(i, self.oracle.as_deref_mut())?;
-            if fresh {
-                self.labels_requested += 1;
-            }
-            for (what, value) in [
-                ("label", label),
-                ("old prediction", self.old[i]),
-                ("new prediction", self.new[i]),
-            ] {
-                if value >= classes {
-                    return Err(CiError::Semantic(format!(
-                        "{what} {value} for item {i} is outside the declared class range 0..{classes}"
-                    )));
-                }
-            }
-            new_correct += u64::from(self.new[i] == label);
-            old_correct += u64::from(self.old[i] == label);
-            per_class.support[label as usize] += 1;
-            per_class.new_pred[self.new[i] as usize] += 1;
-            per_class.old_pred[self.old[i] as usize] += 1;
-            if self.new[i] == label {
-                per_class.new_tp[label as usize] += 1;
-            }
-            if self.old[i] == label {
-                per_class.old_tp[label as usize] += 1;
+                pc.support[label as usize] += 1;
+                pc.new_pred[new as usize] += 1;
+                pc.old_pred[old as usize] += 1;
+                pc.new_tp[label as usize] += u64::from(new == label);
+                pc.old_tp[label as usize] += u64::from(old == label);
             }
         }
         let counts = MeasuredCounts {
@@ -608,55 +608,23 @@ impl<'a> Measurement<'a> {
             new_correct,
             old_correct,
             changed,
-            labels_spent: self.labels_requested - spent_before,
+            labels_spent: 0,
         };
-        Ok((counts, Some(per_class)))
+        Ok((counts, per_class))
     }
 
-    /// [`Measurement::derive_counts`] over the whole pool through the
-    /// bit-packed fast lane: predictions are packed into per-class
-    /// bitmaps and compared against a pre-packed `truth` word-level, so
-    /// `changed` and the correctness credits are popcounts instead of
-    /// per-item loops. Oracle traffic is identical to the per-item path:
-    /// fresh labels are pulled in ascending item order, exactly for the
-    /// items the formula's [`LabelDemand`] requires — the two paths are
-    /// bit-identical in counts, pool state, and oracle spend.
-    ///
-    /// `truth` must pack the same ground truth the testset's cached
-    /// labels come from (label `i` known ⇒ it equals `truth[i]`), cover
-    /// exactly the pool, and span every class the prediction vectors
-    /// use; when any of that fails to hold structurally (length or class
-    /// range mismatch) this falls back to the per-item path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures. Rejects metric formulas
-    /// loudly, like [`Measurement::derive_counts`] — use
-    /// [`Measurement::derive_counts_packed_with_classes`].
-    pub fn derive_counts_packed(
+    /// The bit-packed kernel over the whole pool: predictions and truth
+    /// as per-class bitmaps, so `changed` and the correctness credits are
+    /// word-level AND + popcount instead of per-item compares.
+    fn packed_kernel(
         &mut self,
-        formula: &Formula,
+        demand: LabelDemand,
+        per_class: bool,
         truth: &ClassBitmaps,
-    ) -> Result<MeasuredCounts> {
-        if formula.has_metric() {
-            return Err(CiError::Semantic(
-                "formula reads metric variables (f1/topk) that scalar counts cannot carry; \
-                 derive per-class confusion counts with derive_counts_packed_with_classes"
-                    .into(),
-            ));
-        }
-        let len = self.testset.len();
-        let (Some(old), Some(new)) = (
-            ClassBitmaps::from_labels(self.old, truth.classes()),
-            ClassBitmaps::from_labels(self.new, truth.classes()),
-        ) else {
-            return self.derive_counts(formula, 0..len);
-        };
-        if truth.len() != len {
-            return self.derive_counts(formula, 0..len);
-        }
-        let demand = formula_label_demand(formula);
-        let spent_before = self.labels_requested;
+        old: &ClassBitmaps,
+        new: &ClassBitmaps,
+    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
+        let len = truth.len();
         let words = len.div_ceil(64);
         let tail_mask = |w: usize| -> u64 {
             if w + 1 == words && !len.is_multiple_of(64) {
@@ -682,7 +650,7 @@ impl<'a> Measurement<'a> {
         }
 
         // Pull the labels the demand requires, ascending — the same
-        // oracle call sequence the per-item path makes.
+        // oracle call sequence the per-item kernel makes.
         let mut known = self.testset.known_words();
         for w in 0..words {
             let need = match demand {
@@ -693,187 +661,58 @@ impl<'a> Measurement<'a> {
             let mut fresh = need & !known[w];
             while fresh != 0 {
                 let bit = fresh.trailing_zeros() as usize;
-                let i = w * 64 + bit;
-                self.testset.require_label(i, self.oracle.as_deref_mut())?;
-                self.labels_requested += 1;
+                self.require_label(w * 64 + bit)?;
                 known[w] |= 1u64 << bit;
                 fresh &= fresh - 1;
             }
         }
 
         // Correctness credit: exact where the label is known, both
-        // models credited where it is not (see `derive_counts`).
-        let mut unknown = 0u64;
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for (w, word) in known.iter().enumerate() {
-            unknown += u64::from((!word & tail_mask(w)).count_ones());
-        }
+        // models credited where it is not. Per-class tallies cover the
+        // known items only (all of them under a metric's Full demand).
+        let unknown: u64 = known
+            .iter()
+            .enumerate()
+            .map(|(w, word)| u64::from((!word & tail_mask(w)).count_ones()))
+            .sum();
+        let mut per_class = per_class.then(|| PerClassCounts::zeroed(truth.classes()));
+        let (mut new_correct, mut old_correct) = (unknown, unknown);
         for c in 0..truth.classes() {
             let (t, o, n) = (truth.class(c), old.class(c), new.class(c));
+            let (mut new_tp, mut old_tp) = (0u64, 0u64);
             for w in 0..words {
                 let scored = t[w] & known[w];
-                new_correct += u64::from((n[w] & scored).count_ones());
-                old_correct += u64::from((o[w] & scored).count_ones());
+                new_tp += u64::from((n[w] & scored).count_ones());
+                old_tp += u64::from((o[w] & scored).count_ones());
             }
-        }
-        Ok(MeasuredCounts {
-            samples: len as u64,
-            new_correct: new_correct + unknown,
-            old_correct: old_correct + unknown,
-            changed,
-            labels_spent: self.labels_requested - spent_before,
-        })
-    }
-
-    /// [`Measurement::derive_counts_with_classes`] through the bit-packed
-    /// fast lane. Plain formulas delegate to
-    /// [`Measurement::derive_counts_packed`]; metric formulas pull every
-    /// label (ascending, same oracle sequence as the per-item path) and
-    /// read the per-class confusion counts off word-level popcounts —
-    /// bit-identical to the scalar lane in counts, pool state, and oracle
-    /// spend. Falls back to the per-item path when the predictions fail
-    /// to pack or `truth` does not cover the pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures; rejects formulas the class
-    /// count cannot back ([`validate_metric_formula`]).
-    pub fn derive_counts_packed_with_classes(
-        &mut self,
-        formula: &Formula,
-        truth: &ClassBitmaps,
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>)> {
-        if !formula.has_metric() {
-            return Ok((self.derive_counts_packed(formula, truth)?, None));
-        }
-        let len = self.testset.len();
-        let (Some(old), Some(new)) = (
-            ClassBitmaps::from_labels(self.old, truth.classes()),
-            ClassBitmaps::from_labels(self.new, truth.classes()),
-        ) else {
-            return self.derive_counts_with_classes(formula, 0..len, truth.classes());
-        };
-        if truth.len() != len {
-            return self.derive_counts_with_classes(formula, 0..len, truth.classes());
-        }
-        validate_metric_formula(formula, truth.classes())?;
-        let spent_before = self.labels_requested;
-        let words = len.div_ceil(64);
-        let tail_mask = |w: usize| -> u64 {
-            if w + 1 == words && !len.is_multiple_of(64) {
-                (1u64 << (len % 64)) - 1
-            } else {
-                !0
+            new_correct += new_tp;
+            old_correct += old_tp;
+            if let Some(pc) = per_class.as_mut() {
+                let ci = c as usize;
+                pc.new_tp[ci] = new_tp;
+                pc.old_tp[ci] = old_tp;
+                for w in 0..words {
+                    pc.support[ci] += u64::from((t[w] & known[w]).count_ones());
+                    pc.new_pred[ci] += u64::from((n[w] & known[w]).count_ones());
+                    pc.old_pred[ci] += u64::from((o[w] & known[w]).count_ones());
+                }
             }
-        };
-
-        let mut changed = 0u64;
-        for w in 0..words {
-            let mut agree = 0u64;
-            for c in 0..truth.classes() {
-                agree |= old.class(c)[w] & new.class(c)[w];
-            }
-            changed += u64::from((!agree & tail_mask(w)).count_ones());
-        }
-
-        // Metric demand is Full: pull every missing label, ascending —
-        // the same oracle call sequence the per-item path makes.
-        let known = self.testset.known_words();
-        for (w, word) in known.iter().enumerate() {
-            let mut fresh = tail_mask(w) & !word;
-            while fresh != 0 {
-                let bit = fresh.trailing_zeros() as usize;
-                self.testset
-                    .require_label(w * 64 + bit, self.oracle.as_deref_mut())?;
-                self.labels_requested += 1;
-                fresh &= fresh - 1;
-            }
-        }
-
-        // Every item is labelled now, so the confusion counts are plain
-        // popcounts against the truth bitmaps (zero beyond `len`).
-        let mut per_class = PerClassCounts::zeroed(truth.classes());
-        let mut new_correct = 0u64;
-        let mut old_correct = 0u64;
-        for c in 0..truth.classes() {
-            let (t, o, n) = (truth.class(c), old.class(c), new.class(c));
-            let ci = c as usize;
-            for w in 0..words {
-                per_class.support[ci] += u64::from(t[w].count_ones());
-                per_class.new_pred[ci] += u64::from(n[w].count_ones());
-                per_class.old_pred[ci] += u64::from(o[w].count_ones());
-                per_class.new_tp[ci] += u64::from((n[w] & t[w]).count_ones());
-                per_class.old_tp[ci] += u64::from((o[w] & t[w]).count_ones());
-            }
-            new_correct += per_class.new_tp[ci];
-            old_correct += per_class.old_tp[ci];
         }
         let counts = MeasuredCounts {
             samples: len as u64,
             new_correct,
             old_correct,
             changed,
-            labels_spent: self.labels_requested - spent_before,
+            labels_spent: 0,
         };
-        Ok((counts, Some(per_class)))
-    }
-
-    /// Measure the left-hand side of a clause over a range, choosing the
-    /// cheapest sufficient strategy:
-    ///
-    /// * `d`-only expressions: label-free;
-    /// * expressions where the `n` and `o` coefficients cancel
-    ///   (`α_n = −α_o`): disagreement labelling only;
-    /// * anything else: full labelling of the range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates label-acquisition failures. Rejects metric clauses
-    /// loudly: `f1(...)`/`topk(...)` are not linear in the per-item
-    /// accuracy statistics this measures, so silently evaluating the
-    /// plain terms would report a wrong left-hand side.
-    pub fn clause_lhs(&mut self, clause: &Clause, range: Range<usize>) -> Result<f64> {
-        let form = LinearForm::from_expr(&clause.expr);
-        if form.has_metric() {
-            return Err(CiError::Semantic(format!(
-                "clause `{clause}` reads metric variables (f1/topk); evaluate it from \
-                 per-class counts (derive_counts_with_classes), not clause_lhs"
-            )));
-        }
-        let a_n = form.coefficient(Var::N);
-        let a_o = form.coefficient(Var::O);
-        let a_d = form.coefficient(Var::D);
-        let d_part = if a_d != 0.0 {
-            a_d * self.difference(range.clone())
-        } else {
-            0.0
-        };
-        if a_n == 0.0 && a_o == 0.0 {
-            return Ok(d_part);
-        }
-        if a_n == -a_o {
-            let diff = self.accuracy_difference(range)?;
-            return Ok(a_n * diff + d_part);
-        }
-        let n_part = if a_n != 0.0 {
-            a_n * self.new_accuracy(range.clone())?
-        } else {
-            0.0
-        };
-        let o_part = if a_o != 0.0 {
-            a_o * self.old_accuracy(range)?
-        } else {
-            0.0
-        };
-        Ok(n_part + o_part + d_part)
+        Ok((counts, per_class))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsl::parse_clause;
+    use crate::dsl::{parse_clause, parse_formula};
     use crate::engine::testset::VecOracle;
 
     /// 10 items; labels all 0. Old model predicts 0 except items 8, 9
@@ -889,12 +728,20 @@ mod tests {
         (labels, old, new)
     }
 
+    /// Measure a one-clause condition over `range` and return its value.
+    fn value(m: &mut Measurement<'_>, text: &str, range: Range<usize>) -> f64 {
+        let clause = parse_clause(text).unwrap();
+        let formula = Formula::new(vec![clause.clone()]);
+        let (counts, _) = m.counts(&formula, range).unwrap();
+        counts.clause_value(&clause).unwrap()
+    }
+
     #[test]
     fn difference_needs_no_labels() {
         let (_, old, new) = fixture();
         let mut testset = Testset::unlabeled(10);
-        let m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-        assert!((m.difference(0..10) - 0.1).abs() < 1e-12);
+        let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
+        assert!((value(&mut m, "d < 0.2 +/- 0.05", 0..10) - 0.1).abs() < 1e-12);
         assert_eq!(m.labels_requested(), 0);
     }
 
@@ -904,10 +751,10 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        assert!((m.new_accuracy(0..10).unwrap() - 0.9).abs() < 1e-12);
+        assert!((value(&mut m, "n > 0.5 +/- 0.1", 0..10) - 0.9).abs() < 1e-12);
         assert_eq!(m.labels_requested(), 10);
         // Old accuracy reuses the cached labels.
-        assert!((m.old_accuracy(0..10).unwrap() - 0.8).abs() < 1e-12);
+        assert!((value(&mut m, "o > 0.5 +/- 0.1", 0..10) - 0.8).abs() < 1e-12);
         assert_eq!(m.labels_requested(), 10);
     }
 
@@ -917,7 +764,7 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let diff = m.accuracy_difference(0..10).unwrap();
+        let diff = value(&mut m, "n - o > 0.0 +/- 0.05", 0..10);
         assert!((diff - 0.1).abs() < 1e-12, "diff = {diff}");
         assert_eq!(m.labels_requested(), 1, "only item 8 disagrees");
     }
@@ -925,40 +772,19 @@ mod tests {
     #[test]
     fn clause_lhs_picks_cheapest_strategy() {
         let (labels, old, new) = fixture();
-        // d-only: free.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let clause = parse_clause("d < 0.2 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.1).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 0);
-        }
-        // n - o: disagreement labels only.
-        {
+        // (clause, value, labels): d-only is free, n - o and its scaled
+        // form label the disagreement only, bare n labels everything.
+        for (text, want, spent) in [
+            ("d < 0.2 +/- 0.05", 0.1, 0),
+            ("n - o > 0.0 +/- 0.05", 0.1, 1),
+            ("2 * (n - o) > 0.0 +/- 0.05", 0.2, 1),
+            ("n > 0.5 +/- 0.1", 0.9, 10),
+        ] {
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("n - o > 0.0 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.1).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 1);
-        }
-        // scaled difference 2*(n-o) still uses the trick.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels.clone());
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("2 * (n - o) > 0.0 +/- 0.05").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.2).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 1);
-        }
-        // bare n: full labelling.
-        {
-            let mut testset = Testset::unlabeled(10);
-            let mut oracle = VecOracle::new(labels);
-            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let clause = parse_clause("n > 0.5 +/- 0.1").unwrap();
-            assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.9).abs() < 1e-12);
-            assert_eq!(m.labels_requested(), 10);
+            assert!((value(&mut m, text, 0..10) - want).abs() < 1e-12, "{text}");
+            assert_eq!(m.labels_requested(), spent, "{text}");
         }
     }
 
@@ -968,15 +794,13 @@ mod tests {
         let mut testset = Testset::unlabeled(10);
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let clause = parse_clause("n - o + d > 0.0 +/- 0.05").unwrap();
         // 0.1 + 0.1 = 0.2; still only one label (difference trick + free d).
-        assert!((m.clause_lhs(&clause, 0..10).unwrap() - 0.2).abs() < 1e-12);
+        assert!((value(&mut m, "n - o + d > 0.0 +/- 0.05", 0..10) - 0.2).abs() < 1e-12);
         assert_eq!(m.labels_requested(), 1);
     }
 
     #[test]
     fn label_demand_classification() {
-        use crate::dsl::parse_formula;
         let demand = |text: &str| formula_label_demand(&parse_formula(text).unwrap());
         assert_eq!(demand("d < 0.2 +/- 0.05"), LabelDemand::Free);
         assert_eq!(demand("n - o > 0.0 +/- 0.05"), LabelDemand::Disagreements);
@@ -994,19 +818,24 @@ mod tests {
             demand("n - o > 0.0 +/- 0.05 /\\ o > 0.5 +/- 0.1"),
             LabelDemand::Full
         );
+        // The empty formula reads nothing.
+        assert_eq!(
+            formula_label_demand(&Formula::new(Vec::new())),
+            LabelDemand::Free
+        );
     }
 
     #[test]
     fn derive_counts_spends_only_what_the_formula_demands() {
-        use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
+        let counts = |m: &mut Measurement<'_>, text: &str| {
+            m.counts(&parse_formula(text).unwrap(), 0..10).unwrap().0
+        };
         // d-only: zero labels, exact `changed`; unknown items credit both.
         {
             let mut testset = Testset::unlabeled(10);
             let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("d < 0.2 +/- 0.05").unwrap(), 0..10)
-                .unwrap();
+            let c = counts(&mut m, "d < 0.2 +/- 0.05");
             assert_eq!((c.samples, c.changed, c.labels_spent), (10, 1, 0));
             assert_eq!((c.new_correct, c.old_correct), (10, 10));
         }
@@ -1016,9 +845,7 @@ mod tests {
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("n - o > 0.0 +/- 0.05").unwrap(), 0..10)
-                .unwrap();
+            let c = counts(&mut m, "n - o > 0.0 +/- 0.05");
             assert_eq!(c.labels_spent, 1, "only item 8 disagrees");
             assert_eq!(c.new_correct as i64 - c.old_correct as i64, 1);
             assert_eq!(c.changed, 1);
@@ -1029,9 +856,7 @@ mod tests {
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
-                .unwrap();
+            let c = counts(&mut m, "n > 0.5 +/- 0.1");
             assert_eq!(c.labels_spent, 10);
             assert_eq!((c.new_correct, c.old_correct, c.changed), (9, 8, 1));
         }
@@ -1040,9 +865,7 @@ mod tests {
         {
             let mut testset = Testset::fully_labeled(labels);
             let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
-            let c = m
-                .derive_counts(&parse_formula("d < 0.2 +/- 0.05").unwrap(), 0..10)
-                .unwrap();
+            let c = counts(&mut m, "d < 0.2 +/- 0.05");
             assert_eq!((c.new_correct, c.old_correct, c.labels_spent), (9, 8, 0));
         }
     }
@@ -1050,9 +873,8 @@ mod tests {
     #[test]
     fn derived_counts_reproduce_clause_lhs() {
         // The equivalence the serving gate rests on: evaluating a clause
-        // at the derived counts' point estimates gives exactly the value
-        // the measurement layer would have measured for it.
-        use crate::dsl::parse_formula;
+        // at the counts' point estimates gives the value the engine
+        // computes from the same counts.
         let (labels, old, new) = fixture();
         for text in [
             "d < 0.2 +/- 0.05",
@@ -1064,111 +886,119 @@ mod tests {
             let mut testset = Testset::unlabeled(10);
             let mut oracle = VecOracle::new(labels.clone());
             let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-            let c = m.derive_counts(&formula, 0..10).unwrap();
+            let (c, _) = m.counts(&formula, 0..10).unwrap();
             let s = c.samples as f64;
             let est = crate::eval::VariableEstimates::new(
                 c.new_correct as f64 / s,
                 c.old_correct as f64 / s,
                 c.changed as f64 / s,
             );
-            // A fresh measurement context over the same (now labelled)
-            // pool measures each clause directly.
-            let mut m2 = Measurement::new(&mut testset, None, &old, &new).unwrap();
             for clause in formula.clauses() {
-                let lhs = m2.clause_lhs(clause, 0..10).unwrap();
-                let from_counts = est.evaluate_expr(&clause.expr);
+                let lhs = c.clause_value(clause).unwrap();
+                let from_estimates = est.evaluate_expr(&clause.expr);
                 assert!(
-                    (lhs - from_counts).abs() < 1e-12,
-                    "{text}: clause `{clause}` measured {lhs} vs counts {from_counts}"
+                    (lhs - from_estimates).abs() < 1e-12,
+                    "{text}: clause `{clause}` measured {lhs} vs estimates {from_estimates}"
                 );
             }
         }
     }
 
     #[test]
+    fn clause_values_keep_the_integer_arithmetic() {
+        // `n - o` is the integer difference over the sample count, not a
+        // difference of two rounded accuracies: 9/10 - 8/10 ≠ 1/10 in
+        // floating point, and receipts carry the latter.
+        let c = MeasuredCounts {
+            samples: 10,
+            new_correct: 9,
+            old_correct: 8,
+            changed: 1,
+            labels_spent: 0,
+        };
+        let value = |text: &str| c.clause_value(&parse_clause(text).unwrap()).unwrap();
+        assert_eq!(value("n - o > 0.0 +/- 0.05"), 0.1);
+        assert_eq!(value("2 * (n - o) > 0.0 +/- 0.05"), 2.0 * 0.1);
+        assert_eq!(value("n - o + d > 0.0 +/- 0.05"), 0.1 + 0.1);
+        assert_eq!(value("n - 1.1 * o > 0.0 +/- 0.1"), 0.9 + -1.1 * 0.8);
+        // An empty range divides by one, not zero.
+        let empty = MeasuredCounts { samples: 0, ..c };
+        assert!(empty
+            .clause_value(&parse_clause("d < 0.2 +/- 0.05").unwrap())
+            .unwrap()
+            .is_finite());
+    }
+
+    #[test]
     fn derive_counts_without_needed_oracle_fails() {
-        use crate::dsl::parse_formula;
         let (_, old, new) = fixture();
         let mut testset = Testset::unlabeled(10);
         let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
         assert!(m
-            .derive_counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
+            .counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
             .is_err());
     }
 
-    /// Deterministic xorshift generator for the packed-vs-scalar
-    /// property sweep.
+    /// Deterministic xorshift generator for the packed-vs-per-item sweeps.
     struct Rng(u64);
     impl Rng {
-        fn next(&mut self) -> u64 {
+        fn below(&mut self, bound: u64) -> u64 {
             let mut x = self.0;
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             self.0 = x;
-            x
-        }
-        fn below(&mut self, bound: u64) -> u64 {
-            self.next() % bound
+            x % bound
         }
     }
 
-    #[test]
-    fn packed_derive_counts_is_bit_identical_to_per_item_path() {
-        use crate::dsl::parse_formula;
-        // Every LabelDemand shape, as the serving layer classifies them:
-        // d-only (Free), pure difference (Disagreements, alone and in a
-        // conjunction with d), and individual accuracy (Full).
-        let formulas = [
-            "d < 0.5 +/- 0.1",
-            "n - o > 0.0 +/- 0.1",
-            "n - o > 0.0 +/- 0.1 /\\ d < 0.5 +/- 0.1",
-            "n > 0.5 +/- 0.1",
-        ];
-        let mut rng = Rng(0x2447_1339_ace1_d00d);
+    /// Measure each formula over random whole pools twice — once with
+    /// packed truth (the packed kernel serves it) and once without (the
+    /// per-item kernel serves it) — and require identical counts, label
+    /// pool and oracle spend. Class counts are drawn from
+    /// `min_classes..min_classes + spread`.
+    fn assert_lanes_agree(formulas: &[&str], seed: u64, min_classes: u32, spread: u64) {
+        let mut rng = Rng(seed);
         for trial in 0..40 {
             let len = 1 + rng.below(130) as usize; // crosses word boundaries
-            let classes = 1 + rng.below(7) as u32;
-            let truth: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let old: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let new: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
+            let classes = min_classes + rng.below(spread) as u32;
+            let draw = |rng: &mut Rng| -> Vec<u32> {
+                (0..len)
+                    .map(|_| rng.below(u64::from(classes)) as u32)
+                    .collect()
+            };
+            let (truth, old, new) = (draw(&mut rng), draw(&mut rng), draw(&mut rng));
             // Random partial pre-labelling (always consistent with truth).
             let prelabeled: Vec<usize> = (0..len).filter(|_| rng.below(4) == 0).collect();
             let truth_bits = ClassBitmaps::from_labels(&truth, classes).unwrap();
             for text in formulas {
                 let formula = parse_formula(text).unwrap();
-                let mut scalar_pool = Testset::unlabeled(len);
-                let mut packed_pool = Testset::unlabeled(len);
+                let mut item_pool = Testset::unlabeled(len);
                 for &i in &prelabeled {
-                    scalar_pool.set_label(i, truth[i]);
-                    packed_pool.set_label(i, truth[i]);
+                    item_pool.set_label(i, truth[i]);
                 }
-                let mut scalar_oracle = VecOracle::new(truth.clone());
+                let mut packed_pool = item_pool.clone();
+                let mut item_oracle = VecOracle::new(truth.clone());
                 let mut packed_oracle = VecOracle::new(truth.clone());
-                let scalar =
-                    Measurement::new(&mut scalar_pool, Some(&mut scalar_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts(&formula, 0..len)
-                        .unwrap();
-                let packed =
+                let per_item = Measurement::new(&mut item_pool, Some(&mut item_oracle), &old, &new)
+                    .unwrap()
+                    .with_classes(classes, None)
+                    .counts(&formula, 0..len)
+                    .unwrap();
+                let mut m =
                     Measurement::new(&mut packed_pool, Some(&mut packed_oracle), &old, &new)
                         .unwrap()
-                        .derive_counts_packed(&formula, &truth_bits)
-                        .unwrap();
-                assert_eq!(packed, scalar, "trial {trial} formula {text}");
+                        .with_classes(classes, Some(&truth_bits));
+                assert!(m.packed_inputs(&(0..len)).is_some(), "packed lane serves");
+                let packed = m.counts(&formula, 0..len).unwrap();
+                assert_eq!(packed, per_item, "trial {trial} formula {text}");
                 assert_eq!(
-                    packed_pool, scalar_pool,
+                    packed_pool, item_pool,
                     "label pools diverged: trial {trial} formula {text}"
                 );
                 assert_eq!(
                     packed_oracle.labels_served(),
-                    scalar_oracle.labels_served(),
+                    item_oracle.labels_served(),
                     "oracle spend diverged: trial {trial} formula {text}"
                 );
             }
@@ -1176,22 +1006,59 @@ mod tests {
     }
 
     #[test]
+    fn packed_derive_counts_is_bit_identical_to_per_item_path() {
+        // Every LabelDemand shape, as the serving layer classifies them:
+        // d-only (Free), pure difference (Disagreements, alone and in a
+        // conjunction with d), and individual accuracy (Full).
+        assert_lanes_agree(
+            &[
+                "d < 0.5 +/- 0.1",
+                "n - o > 0.0 +/- 0.1",
+                "n - o > 0.0 +/- 0.1 /\\ d < 0.5 +/- 0.1",
+                "n > 0.5 +/- 0.1",
+            ],
+            0x2447_1339_ace1_d00d,
+            1,
+            7,
+        );
+    }
+
+    #[test]
+    fn packed_metric_derivation_is_bit_identical_to_per_item_path() {
+        // ≥ 3 classes so every k fits.
+        assert_lanes_agree(
+            &[
+                "f1(n) - f1(o) > -0.02 +/- 0.01",
+                "topk(n, 3) - topk(o, 3) > 0.0 +/- 0.1",
+                "f1(n) > 0.5 +/- 0.1 /\\ d < 0.5 +/- 0.1",
+                "f1(n) - f1(o) + topk(n, 2) - topk(o, 2) > -0.1 +/- 0.05",
+            ],
+            0x5eed_f00d_2468_ace2,
+            3,
+            5,
+        );
+    }
+
+    #[test]
     fn packed_derive_counts_falls_back_and_errors_like_scalar() {
-        use crate::dsl::parse_formula;
         let (_, old, new) = fixture();
         let formula = parse_formula("n > 0.5 +/- 0.1").unwrap();
         // Missing oracle under Full demand errors exactly like the
-        // per-item path (ascending order ⇒ same first failing item).
+        // per-item kernel (ascending order ⇒ same first failing item).
         let truth_bits = ClassBitmaps::from_labels(&[0u32; 10], 2).unwrap();
         let mut pool = Testset::unlabeled(10);
-        let mut m = Measurement::new(&mut pool, None, &old, &new).unwrap();
-        assert!(m.derive_counts_packed(&formula, &truth_bits).is_err());
+        let mut m = Measurement::new(&mut pool, None, &old, &new)
+            .unwrap()
+            .with_classes(2, Some(&truth_bits));
+        assert!(m.counts(&formula, 0..10).is_err());
         // A truth packing that does not cover the pool falls back to the
-        // per-item path rather than mis-counting.
+        // per-item kernel rather than mis-counting.
         let short = ClassBitmaps::from_labels(&[0u32; 4], 2).unwrap();
         let mut pool = Testset::fully_labeled(vec![0u32; 10]);
-        let mut m = Measurement::new(&mut pool, None, &old, &new).unwrap();
-        let c = m.derive_counts_packed(&formula, &short).unwrap();
+        let mut m = Measurement::new(&mut pool, None, &old, &new)
+            .unwrap()
+            .with_classes(2, Some(&short));
+        let (c, _) = m.counts(&formula, 0..10).unwrap();
         assert_eq!((c.new_correct, c.old_correct), (9, 8));
         // Class counts outside the packable range refuse to pack.
         assert!(ClassBitmaps::from_labels(&[0], 0).is_none());
@@ -1202,7 +1069,6 @@ mod tests {
 
     #[test]
     fn metric_clauses_demand_full_labelling() {
-        use crate::dsl::parse_formula;
         let demand = |text: &str| formula_label_demand(&parse_formula(text).unwrap());
         // Pure metric clauses have zero n/o coefficients; without the
         // metric branch they would misclassify as Free.
@@ -1220,16 +1086,17 @@ mod tests {
 
     #[test]
     fn scalar_count_paths_reject_metric_formulas_loudly() {
-        use crate::dsl::{parse_clause, parse_formula};
         let (labels, old, new) = fixture();
         let formula = parse_formula("f1(n) - f1(o) > -0.02 +/- 0.01").unwrap();
-        let truth_bits = ClassBitmaps::from_labels(&labels, 2).unwrap();
         let mut testset = Testset::fully_labeled(labels);
         let mut m = Measurement::new(&mut testset, None, &old, &new).unwrap();
+        let (plain, _) = m
+            .counts(&parse_formula("n > 0.5 +/- 0.1").unwrap(), 0..10)
+            .unwrap();
         for err in [
-            m.derive_counts(&formula, 0..10).unwrap_err(),
-            m.derive_counts_packed(&formula, &truth_bits).unwrap_err(),
-            m.clause_lhs(&parse_clause("f1(n) > 0.8 +/- 0.05").unwrap(), 0..10)
+            m.counts(&formula, 0..10).unwrap_err(),
+            plain
+                .clause_value(&parse_clause("f1(n) > 0.8 +/- 0.05").unwrap())
                 .unwrap_err(),
         ] {
             let msg = err.to_string();
@@ -1242,7 +1109,6 @@ mod tests {
 
     #[test]
     fn validate_metric_formula_rejects_impossible_testsets() {
-        use crate::dsl::parse_formula;
         let f = |text: &str| parse_formula(text).unwrap();
         // Plain formulas pass at any class count.
         validate_metric_formula(&f("n - o > 0.0 +/- 0.05"), 1).unwrap();
@@ -1263,7 +1129,6 @@ mod tests {
 
     #[test]
     fn per_class_counts_match_reference_statistics() {
-        use crate::dsl::parse_formula;
         use crate::extensions::f1_score;
         // 8 items, 3 classes. Truth: [0,0,0,1,1,2,2,2].
         let truth = vec![0u32, 0, 0, 1, 1, 2, 2, 2];
@@ -1273,8 +1138,10 @@ mod tests {
             parse_formula("f1(n) - f1(o) > -0.5 +/- 0.1 /\\ topk(n, 2) > 0.0 +/- 0.1").unwrap();
         let mut testset = Testset::unlabeled(8);
         let mut oracle = VecOracle::new(truth.clone());
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (counts, per_class) = m.derive_counts_with_classes(&formula, 0..8, 3).unwrap();
+        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new)
+            .unwrap()
+            .with_classes(3, None);
+        let (counts, per_class) = m.counts(&formula, 0..8).unwrap();
         let pc = per_class.expect("metric formula tallies per-class counts");
         assert_eq!(counts.labels_spent, 8, "metric demand labels everything");
         assert_eq!(pc.labeled(), counts.samples);
@@ -1308,106 +1175,41 @@ mod tests {
 
     #[test]
     fn derive_counts_with_classes_rejects_out_of_range_values() {
-        use crate::dsl::parse_formula;
         let formula = parse_formula("f1(n) > 0.5 +/- 0.1").unwrap();
-        // Label 2 exceeds the declared 2 classes.
-        let truth = vec![0u32, 1, 2];
-        let old = vec![0u32, 1, 1];
-        let new = vec![0u32, 1, 1];
-        let mut testset = Testset::unlabeled(3);
-        let mut oracle = VecOracle::new(truth);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let err = m.derive_counts_with_classes(&formula, 0..3, 2).unwrap_err();
-        assert!(err.to_string().contains("class range"), "{err}");
-        // Prediction out of range is equally loud.
-        let truth = vec![0u32, 1, 1];
-        let bad_new = vec![0u32, 1, 7];
-        let old = vec![0u32, 1, 1];
-        let mut testset = Testset::unlabeled(3);
-        let mut oracle = VecOracle::new(truth);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &bad_new).unwrap();
-        let err = m.derive_counts_with_classes(&formula, 0..3, 2).unwrap_err();
-        assert!(err.to_string().contains("class range"), "{err}");
-    }
-
-    #[test]
-    fn packed_metric_derivation_is_bit_identical_to_per_item_path() {
-        use crate::dsl::parse_formula;
-        let formulas = [
-            "f1(n) - f1(o) > -0.02 +/- 0.01",
-            "topk(n, 3) - topk(o, 3) > 0.0 +/- 0.1",
-            "f1(n) > 0.5 +/- 0.1 /\\ d < 0.5 +/- 0.1",
-            "f1(n) - f1(o) + topk(n, 2) - topk(o, 2) > -0.1 +/- 0.05",
-        ];
-        let mut rng = Rng(0x5eed_f00d_2468_ace2);
-        for trial in 0..40 {
-            let len = 1 + rng.below(130) as usize;
-            let classes = 3 + rng.below(5) as u32; // ≥ 3 so every k fits
-            let truth: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let old: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let new: Vec<u32> = (0..len)
-                .map(|_| rng.below(u64::from(classes)) as u32)
-                .collect();
-            let prelabeled: Vec<usize> = (0..len).filter(|_| rng.below(4) == 0).collect();
-            let truth_bits = ClassBitmaps::from_labels(&truth, classes).unwrap();
-            for text in formulas {
-                let formula = parse_formula(text).unwrap();
-                let mut scalar_pool = Testset::unlabeled(len);
-                let mut packed_pool = Testset::unlabeled(len);
-                for &i in &prelabeled {
-                    scalar_pool.set_label(i, truth[i]);
-                    packed_pool.set_label(i, truth[i]);
-                }
-                let mut scalar_oracle = VecOracle::new(truth.clone());
-                let mut packed_oracle = VecOracle::new(truth.clone());
-                let scalar =
-                    Measurement::new(&mut scalar_pool, Some(&mut scalar_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts_with_classes(&formula, 0..len, classes)
-                        .unwrap();
-                let packed =
-                    Measurement::new(&mut packed_pool, Some(&mut packed_oracle), &old, &new)
-                        .unwrap()
-                        .derive_counts_packed_with_classes(&formula, &truth_bits)
-                        .unwrap();
-                assert_eq!(packed, scalar, "trial {trial} formula {text}");
-                assert_eq!(
-                    packed_pool, scalar_pool,
-                    "label pools diverged: trial {trial} formula {text}"
-                );
-                assert_eq!(
-                    packed_oracle.labels_served(),
-                    scalar_oracle.labels_served(),
-                    "oracle spend diverged: trial {trial} formula {text}"
-                );
-            }
+        // Label 2 exceeds the declared 2 classes; then a prediction out
+        // of range is equally loud.
+        for (truth, old, new) in [
+            (vec![0u32, 1, 2], vec![0u32, 1, 1], vec![0u32, 1, 1]),
+            (vec![0u32, 1, 1], vec![0u32, 1, 1], vec![0u32, 1, 7]),
+        ] {
+            let mut testset = Testset::unlabeled(3);
+            let mut oracle = VecOracle::new(truth);
+            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new)
+                .unwrap()
+                .with_classes(2, None);
+            let err = m.counts(&formula, 0..3).unwrap_err();
+            assert!(err.to_string().contains("class range"), "{err}");
         }
     }
 
     #[test]
     fn with_classes_paths_delegate_for_plain_formulas() {
-        use crate::dsl::parse_formula;
         let (labels, old, new) = fixture();
         let formula = parse_formula("n - o > 0.0 +/- 0.05").unwrap();
         let truth_bits = ClassBitmaps::from_labels(&labels, 2).unwrap();
-        let mut testset = Testset::unlabeled(10);
-        let mut oracle = VecOracle::new(labels.clone());
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (counts, pc) = m.derive_counts_with_classes(&formula, 0..10, 2).unwrap();
-        assert!(pc.is_none(), "plain formulas carry no per-class counts");
-        assert_eq!(counts.labels_spent, 1);
-        let mut testset = Testset::unlabeled(10);
-        let mut oracle = VecOracle::new(labels);
-        let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
-        let (packed, pc) = m
-            .derive_counts_packed_with_classes(&formula, &truth_bits)
-            .unwrap();
-        assert!(pc.is_none());
-        assert_eq!(packed, counts);
+        let mut outcomes = Vec::new();
+        for truth in [None, Some(&truth_bits)] {
+            let mut testset = Testset::unlabeled(10);
+            let mut oracle = VecOracle::new(labels.clone());
+            let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new)
+                .unwrap()
+                .with_classes(2, truth);
+            let (counts, pc) = m.counts(&formula, 0..10).unwrap();
+            assert!(pc.is_none(), "plain formulas carry no per-class counts");
+            assert_eq!(counts.labels_spent, 1);
+            outcomes.push(counts);
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
     }
 
     #[test]
@@ -1427,11 +1229,11 @@ mod tests {
         let mut oracle = VecOracle::new(labels);
         let mut m = Measurement::new(&mut testset, Some(&mut oracle), &old, &new).unwrap();
         // Range 0..8 excludes both wrong predictions: perfect agreement.
-        assert_eq!(m.difference(0..8), 0.0);
-        assert_eq!(m.accuracy_difference(0..8).unwrap(), 0.0);
+        assert_eq!(value(&mut m, "d < 0.2 +/- 0.05", 0..8), 0.0);
+        assert_eq!(value(&mut m, "n - o > 0.0 +/- 0.05", 0..8), 0.0);
         assert_eq!(m.labels_requested(), 0);
         // Range 8..10: old wrong on both, new wrong on one.
-        assert!((m.new_accuracy(8..10).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(m.old_accuracy(8..10).unwrap(), 0.0);
+        assert!((value(&mut m, "n > 0.5 +/- 0.1", 8..10) - 0.5).abs() < 1e-12);
+        assert_eq!(value(&mut m, "o > 0.5 +/- 0.1", 8..10), 0.0);
     }
 }

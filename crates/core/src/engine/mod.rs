@@ -13,6 +13,7 @@
 //!    when the era's statistical power is spent.
 
 mod evaluator;
+mod gate;
 mod history;
 mod sink;
 mod testset;
@@ -21,11 +22,12 @@ pub use evaluator::{
     clause_label_demand, formula_label_demand, validate_metric_formula, ClassBitmaps,
     CommitEstimates, LabelDemand, MeasuredCounts, Measurement, PerClassCounts,
 };
+pub use gate::{Gate, GateStep};
 pub use history::{CommitHistory, HistoryEntry};
 pub use sink::{AlarmReason, CiEvent, CollectingSink, MailboxSink, NotificationSink, NullSink};
 pub use testset::{LabelOracle, Testset, VecOracle};
 
-use crate::dsl::{classify_clause, ClauseShape};
+use crate::dsl::{classify_clause, Clause, ClauseShape, Formula};
 use crate::error::{CiError, EngineError, Result};
 use crate::estimator::{
     implicit_variance_test_phase, EstimateProvenance, ImplicitVariancePlan, OptimizedPlan,
@@ -34,7 +36,6 @@ use crate::estimator::{
 use crate::eval::evaluate_clause_at;
 use crate::logic::Tribool;
 use crate::script::CiScript;
-use easeml_bounds::Adaptivity;
 use std::ops::Range;
 
 /// A committed model: an identifier plus its predictions on the current
@@ -118,9 +119,7 @@ pub struct CiEngine {
     oracle: Option<Box<dyn LabelOracle>>,
     sink: Box<dyn NotificationSink>,
     old_predictions: Vec<u32>,
-    steps_used: u32,
-    era: u32,
-    retired: bool,
+    gate: Gate,
     history: CommitHistory,
 }
 
@@ -129,9 +128,7 @@ impl std::fmt::Debug for CiEngine {
         f.debug_struct("CiEngine")
             .field("script", &self.script)
             .field("estimate", &self.estimate)
-            .field("steps_used", &self.steps_used)
-            .field("era", &self.era)
-            .field("retired", &self.retired)
+            .field("gate", &self.gate)
             .field("testset_len", &self.testset.len())
             .finish_non_exhaustive()
     }
@@ -189,6 +186,7 @@ impl CiEngine {
             .into());
         }
         Ok(CiEngine {
+            gate: Gate::new(script.steps(), script.adaptivity()),
             script,
             estimate,
             layout,
@@ -196,9 +194,6 @@ impl CiEngine {
             oracle: None,
             sink: Box::new(NullSink),
             old_predictions,
-            steps_used: 0,
-            era: 0,
-            retired: false,
             history: CommitHistory::new(),
         })
     }
@@ -289,98 +284,75 @@ impl CiEngine {
     /// * [`EngineError::TestsetTooSmall`] when a Pattern-2 probe reveals
     ///   that more labelled data is needed than the pool holds.
     pub fn submit(&mut self, commit: &ModelCommit) -> Result<CommitReceipt> {
-        if self.retired {
-            return Err(EngineError::TestsetRetired.into());
-        }
-        if self.steps_used >= self.script.steps() {
-            return Err(EngineError::BudgetExhausted {
-                steps: self.script.steps(),
-            }
-            .into());
-        }
+        self.gate.check_open()?;
         let (outcome, estimates) = self.measure(commit)?;
         let passed = self.script.mode().decide(outcome);
-        self.steps_used += 1;
-        let step = self.steps_used;
-
-        let adaptivity = self.script.adaptivity();
-        // Repository acceptance is what the *developer* observes: with
-        // `adaptivity: none` every commit lands. The *active* model — the
-        // `o` baseline of the condition — is what the integration team
-        // deploys, and it only advances when a commit truly passes.
-        let accepted = match adaptivity {
-            Adaptivity::None => true,
-            Adaptivity::Full | Adaptivity::FirstChange => passed,
-        };
-        let signal = adaptivity.releases_signal().then_some(passed);
+        let gated = self.gate.advance(passed);
+        // The active model — the `o` baseline of the condition — is what
+        // the integration team deploys, and it only advances when a
+        // commit truly passes (whatever the developer was told).
         if passed {
             self.old_predictions = commit.predictions.clone();
-        }
-
-        let mut alarm = None;
-        if adaptivity.retires_on_pass() && passed {
-            alarm = Some(AlarmReason::PassedInHybrid);
-        } else if self.steps_used >= self.script.steps() {
-            alarm = Some(AlarmReason::BudgetExhausted);
-        }
-        if alarm.is_some() {
-            self.retired = true;
         }
 
         self.sink.notify(&CiEvent::CommitTested {
             commit_id: commit.id.clone(),
             outcome,
             passed,
-            step,
+            step: gated.step,
         });
-        if let Some(reason) = alarm {
+        if let Some(reason) = gated.alarm {
             self.sink.notify(&CiEvent::NewTestsetAlarm {
                 reason,
-                steps_used: self.steps_used,
+                steps_used: gated.step,
             });
         }
         self.history.push(HistoryEntry {
             commit_id: commit.id.clone(),
-            step,
-            era: self.era,
+            step: gated.step,
+            era: gated.era,
             estimates,
             outcome,
             passed,
-            accepted,
+            accepted: gated.accepted,
         });
         Ok(CommitReceipt {
             commit_id: commit.id.clone(),
-            step,
-            era: self.era,
-            signal,
-            accepted,
+            step: gated.step,
+            era: gated.era,
+            signal: gated.signal,
+            accepted: gated.accepted,
             outcome,
             passed,
             estimates,
-            alarm,
+            alarm: gated.alarm,
         })
     }
 
+    /// Measure the condition under the plan layout. Every value is a
+    /// pure function of the integer counts [`Measurement::counts`]
+    /// derives for the phase's range, spending only the labels the
+    /// phase's formula demands.
     fn measure(&mut self, commit: &ModelCommit) -> Result<(Tribool, CommitEstimates)> {
-        let layout = self.layout.clone();
         let mut measurement = Measurement::new(
             &mut self.testset,
             self.oracle.as_deref_mut(),
             &self.old_predictions,
             &commit.predictions,
         )?;
-        let clauses = self.script.condition().clauses();
+        let condition = self.script.condition();
+        let clauses = condition.clauses();
         let mut est = CommitEstimates::default();
-        let outcome = match &layout {
+        let outcome = match &self.layout {
             Layout::Single { test } => {
+                let (counts, _) = measurement.counts(condition, test.clone())?;
                 let mut verdicts = Vec::with_capacity(clauses.len());
                 for clause in clauses {
-                    let lhs = measurement.clause_lhs(clause, test.clone())?;
+                    let lhs = counts.clause_value(clause)?;
                     record_estimate(&mut est, clause, lhs);
                     verdicts.push(evaluate_clause_at(clause, lhs));
                 }
-                est.d
-                    .get_or_insert_with(|| measurement.difference(test.clone()));
+                est.d.get_or_insert(difference(&counts));
                 Tribool::all(verdicts)
             }
             Layout::FilterTest {
@@ -391,15 +363,16 @@ impl CiEngine {
             } => {
                 // Filter step: unlabeled d̂; a certain `False` here skips
                 // the labelling phase entirely.
-                let d_hat = measurement.difference(filter.clone());
+                let d_hat = measure_difference(&mut measurement, filter.clone())?;
                 est.d = Some(d_hat);
                 let d_verdict = evaluate_clause_at(&clauses[*diff_clause], d_hat);
                 if d_verdict == Tribool::False {
                     Tribool::False
                 } else {
-                    let lhs = measurement.clause_lhs(&clauses[*improv_clause], test.clone())?;
-                    record_estimate(&mut est, &clauses[*improv_clause], lhs);
-                    d_verdict & evaluate_clause_at(&clauses[*improv_clause], lhs)
+                    let clause = &clauses[*improv_clause];
+                    let lhs = measure_clause(&mut measurement, clause, test.clone())?;
+                    record_estimate(&mut est, clause, lhs);
+                    d_verdict & evaluate_clause_at(clause, lhs)
                 }
             }
             Layout::ProbeTest {
@@ -413,35 +386,36 @@ impl CiEngine {
                 // Either way the engine's ±ε interval semantics are
                 // two-sided.
                 let needed = if probe.is_empty() {
-                    est.d = Some(measurement.difference(test_full.clone()));
+                    est.d = Some(measure_difference(&mut measurement, test_full.clone())?);
                     test_full.len() as u64
                 } else {
-                    let d_hat = measurement.difference(probe.clone());
+                    let d_hat = measure_difference(&mut measurement, probe.clone())?;
                     est.d = Some(d_hat);
                     implicit_variance_test_phase(plan, d_hat, easeml_bounds::Tail::TwoSided)?
                         .samples
                 };
-                let needed_u64 = needed;
-                let needed = usize::try_from(needed).unwrap_or(usize::MAX);
-                if needed > test_full.len() {
-                    return Err(EngineError::TestsetTooSmall {
-                        got: test_full.len(),
-                        want: needed_u64,
+                let range = match usize::try_from(needed) {
+                    Ok(n) if n <= test_full.len() => test_full.start..test_full.start + n,
+                    _ => {
+                        return Err(EngineError::TestsetTooSmall {
+                            got: test_full.len(),
+                            want: needed,
+                        }
+                        .into())
                     }
-                    .into());
-                }
-                let range = test_full.start..test_full.start + needed;
+                };
                 let clause = &clauses[0];
-                let lhs = measurement.clause_lhs(clause, range)?;
+                let lhs = measure_clause(&mut measurement, clause, range)?;
                 record_estimate(&mut est, clause, lhs);
                 evaluate_clause_at(clause, lhs)
             }
             Layout::CoarseFine { coarse, fine } => {
                 let clause = &clauses[0];
                 // The coarse pass only justifies the fine pass's variance
-                // bound; the decision rests on the fine estimate.
-                let _coarse_n = measurement.new_accuracy(coarse.clone())?;
-                let fine_n = measurement.new_accuracy(fine.clone())?;
+                // bound (it still labels its range); the decision rests
+                // on the fine estimate.
+                measure_clause(&mut measurement, clause, coarse.clone())?;
+                let fine_n = measure_clause(&mut measurement, clause, fine.clone())?;
                 est.n = Some(fine_n);
                 evaluate_clause_at(clause, fine_n)
             }
@@ -489,9 +463,7 @@ impl CiEngine {
             size: self.testset.len(),
         });
         self.old_predictions = old_predictions;
-        self.steps_used = 0;
-        self.retired = false;
-        self.era += 1;
+        self.gate.fresh_era();
         Ok(released)
     }
 
@@ -510,29 +482,25 @@ impl CiEngine {
     /// Steps consumed in the current era.
     #[must_use]
     pub fn steps_used(&self) -> u32 {
-        self.steps_used
+        self.gate.steps_used()
     }
 
     /// Steps remaining before the budget alarm.
     #[must_use]
     pub fn steps_remaining(&self) -> u32 {
-        if self.retired {
-            0
-        } else {
-            self.script.steps() - self.steps_used
-        }
+        self.gate.steps_remaining()
     }
 
     /// Whether the current testset is retired (alarm fired).
     #[must_use]
     pub fn is_retired(&self) -> bool {
-        self.retired
+        self.gate.is_retired()
     }
 
     /// Current testset era (0-based; increments per fresh testset).
     #[must_use]
     pub fn era(&self) -> u32 {
-        self.era
+        self.gate.era()
     }
 
     /// The evaluation history.
@@ -560,9 +528,30 @@ impl CiEngine {
     }
 }
 
+/// The label-free `d̂` of the measured items.
+fn difference(counts: &MeasuredCounts) -> f64 {
+    counts.changed as f64 / counts.samples.max(1) as f64
+}
+
+/// `d̂` over a range; the empty formula demands no labels.
+fn measure_difference(measurement: &mut Measurement<'_>, range: Range<usize>) -> Result<f64> {
+    let (counts, _) = measurement.counts(&Formula::new(Vec::new()), range)?;
+    Ok(difference(&counts))
+}
+
+/// One clause's value over a range, spending only the labels it demands.
+fn measure_clause(
+    measurement: &mut Measurement<'_>,
+    clause: &Clause,
+    range: Range<usize>,
+) -> Result<f64> {
+    let (counts, _) = measurement.counts(&Formula::new(vec![clause.clone()]), range)?;
+    counts.clause_value(clause)
+}
+
 /// Record the measured LHS into the per-variable estimate slots when the
 /// clause is simple enough to attribute.
-fn record_estimate(est: &mut CommitEstimates, clause: &crate::dsl::Clause, lhs: f64) {
+fn record_estimate(est: &mut CommitEstimates, clause: &Clause, lhs: f64) {
     use crate::dsl::{LinearForm, Var};
     let form = LinearForm::from_expr(&clause.expr);
     let a_n = form.coefficient(Var::N);

@@ -4,8 +4,6 @@
 
 mod drift;
 mod f1;
-mod topk;
 
 pub use drift::{DriftMonitor, DriftReport, DriftVerdict};
 pub use f1::{f1_sample_size, f1_score, F1Sensitivity};
-pub use topk::{RankedModel, TopKGate};

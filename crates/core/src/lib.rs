@@ -71,13 +71,14 @@ mod practicality;
 pub mod script;
 
 pub use cache::{
-    BoundKind, BoundsCache, CachePersistError, CachePolicy, CacheStats, PlanCache, PlanFingerprint,
+    fnv1a64, BoundKind, BoundsCache, CachePersistError, CachePolicy, CacheStats, PlanCache,
+    PlanFingerprint,
 };
 pub use engine::{
     clause_label_demand, formula_label_demand, validate_metric_formula, AlarmReason, CiEngine,
-    CiEvent, ClassBitmaps, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt,
-    HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement, ModelCommit,
-    NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
+    CiEvent, ClassBitmaps, CollectingSink, CommitEstimates, CommitHistory, CommitReceipt, Gate,
+    GateStep, HistoryEntry, LabelDemand, LabelOracle, MailboxSink, MeasuredCounts, Measurement,
+    ModelCommit, NotificationSink, NullSink, PerClassCounts, Testset, VecOracle,
 };
 pub use error::{CiError, EngineError, ParseError, Result, ScriptError};
 pub use estimator::{

@@ -44,10 +44,8 @@ mod error;
 mod matrix;
 pub mod metrics;
 pub mod models;
-mod preprocess;
 pub mod synth;
 
 pub use dataset::Dataset;
 pub use error::{MlError, Result};
 pub use matrix::{argmax, dot, softmax_rows, Matrix};
-pub use preprocess::FeatureScaler;

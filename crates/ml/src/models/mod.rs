@@ -7,14 +7,12 @@
 //! an MLP produces exactly the gradual-accuracy / small-prediction-diff
 //! trajectories the paper's conditions are designed to test.
 
-mod knn;
 mod logistic;
 mod majority;
 mod mlp;
 mod naive_bayes;
 mod perceptron;
 
-pub use knn::{Knn, KnnConfig};
 pub use logistic::{LogisticRegression, LogisticRegressionConfig};
 pub use majority::MajorityClassifier;
 pub use mlp::{Mlp, MlpConfig};

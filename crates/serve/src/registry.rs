@@ -2,9 +2,11 @@
 //!
 //! A *project* is one repository wired into the CI service: a validated
 //! [`CiScript`], the sample-size estimate its testset must satisfy, and
-//! the per-era gating state (step budget `H`, testset era, retirement
-//! flag, commit history). The gate mirrors the adaptivity semantics of
-//! [`easeml_ci_core::CiEngine::submit`] and is fed one of two ways:
+//! the per-era gating state (the core [`Gate`] — step budget `H`, testset
+//! era, retirement flag — and the commit history). The engine
+//! ([`easeml_ci_core::CiEngine`]) holds the same [`Gate`], so the
+//! adaptivity, budget, and alarm semantics exist once. The gate is fed
+//! one of two ways:
 //!
 //! * **counts** — the developer's CI job measured its own predictions
 //!   and posts `(samples, new_correct, old_correct, changed)`;
@@ -12,7 +14,7 @@
 //!   ([`TestsetSpec`]; ground truth fully labelled, or held back behind
 //!   the serving-side [`VecOracle`] in partial-labeling mode) and the
 //!   commit posts raw old/new prediction vectors, which the *server*
-//!   measures through [`easeml_ci_core::Measurement::derive_counts`],
+//!   measures through [`easeml_ci_core::Measurement::counts`],
 //!   spending labels only where the condition's
 //!   [`easeml_ci_core::LabelDemand`] requires them.
 //!
@@ -29,28 +31,13 @@
 use crate::error::ServeError;
 use crate::json::encode_u32_vec;
 use crate::obs::trace::{self, Stage};
-use easeml_bounds::Adaptivity;
 use easeml_ci_core::dsl::Formula;
 use easeml_ci_core::{
-    decide, formula_label_demand, validate_metric_formula, AlarmReason, CiScript, ClassBitmaps,
-    CommitEstimates, CommitHistory, EstimatorConfig, HistoryEntry, LabelDemand, MeasuredCounts,
-    Measurement, PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset, Tribool,
-    VariableEstimates, VecOracle,
+    decide, fnv1a64, validate_metric_formula, AlarmReason, CiScript, ClassBitmaps, CommitEstimates,
+    CommitHistory, EngineError, EstimatorConfig, Gate, GateStep, HistoryEntry, LabelOracle,
+    MeasuredCounts, Measurement, PerClassCounts, SampleSizeEstimate, SampleSizeEstimator, Testset,
+    Tribool, VariableEstimates, VecOracle,
 };
-
-/// FNV-1a 64 over a sequence of byte slices — the digest primitive of
-/// the serving layer's testset blobs and prediction-redelivery keys.
-#[must_use]
-pub(crate) fn fnv1a64(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &byte in *part {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
 
 /// A server-side testset as uploaded at registration (or with a fresh
 /// era): the full ground truth, the class count, and whether the labels
@@ -113,10 +100,10 @@ pub struct MeasuredTestset {
     pool: Testset,
     classes: u32,
     lazy: bool,
-    /// Ground truth bit-packed per class, cached per era — the
-    /// measurement fast lane's half of the comparison. `None` when the
+    /// Ground truth bit-packed per class, cached per era — the packed
+    /// measurement kernel's half of the comparison. `None` when the
     /// class count exceeds [`ClassBitmaps::MAX_CLASSES`] (the per-item
-    /// path then serves every measurement).
+    /// kernel then serves every measurement).
     truth_bits: Option<ClassBitmaps>,
 }
 
@@ -255,17 +242,11 @@ impl MeasuredTestset {
         Ok(())
     }
 
-    /// Measure one commit: run the prediction vectors through the core
-    /// measurement layer, spending only the labels the condition's
-    /// [`easeml_ci_core::LabelDemand`] requires, and derive the
-    /// evaluation counts the gate consumes.
-    ///
-    /// Dispatches to the bit-packed fast lane (word-level popcount over
-    /// per-class bitmaps, see [`ClassBitmaps`]) whenever the cached
-    /// truth packing exists and the condition is not Full-demand over a
-    /// lazy pool — the one shape where per-item oracle traffic dominates
-    /// and packing buys nothing. Both lanes are bit-identical in counts,
-    /// pool state, and oracle spend (property-tested).
+    /// Measure one commit: run the prediction vectors through
+    /// [`Measurement::counts`] over the whole pool, spending only the
+    /// labels the condition's [`easeml_ci_core::LabelDemand`] requires,
+    /// and derive the evaluation counts the gate consumes. The cached
+    /// truth packing lets the measurement run on the bit-packed kernel.
     ///
     /// # Errors
     ///
@@ -277,61 +258,17 @@ impl MeasuredTestset {
         old: &[u32],
         new: &[u32],
     ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
-        let demand = formula_label_demand(condition);
-        if self.truth_bits.is_some() && (demand != LabelDemand::Full || !self.lazy) {
-            self.measure_packed(condition, old, new)
-        } else {
-            self.measure_scalar(condition, old, new)
-        }
-    }
-
-    /// The per-item measurement lane (always correct; the fast lane's
-    /// reference behavior).
-    pub(crate) fn measure_scalar(
-        &mut self,
-        condition: &Formula,
-        old: &[u32],
-        new: &[u32],
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
         self.validate_predictions("old", old)?;
         self.validate_predictions("new", new)?;
-        let classes = self.classes;
-        let oracle: Option<&mut (dyn easeml_ci_core::LabelOracle + 'static)> = if self.lazy {
+        let oracle: Option<&mut (dyn LabelOracle + 'static)> = if self.lazy {
             Some(&mut self.oracle)
         } else {
             None
         };
-        let mut measurement = Measurement::new(&mut self.pool, oracle, old, new)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        let len = old.len();
-        measurement
-            .derive_counts_with_classes(condition, 0..len, classes)
-            .map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
-    }
-
-    /// The bit-packed measurement lane. Requires `self.truth_bits`.
-    pub(crate) fn measure_packed(
-        &mut self,
-        condition: &Formula,
-        old: &[u32],
-        new: &[u32],
-    ) -> Result<(MeasuredCounts, Option<PerClassCounts>), ServeError> {
-        self.validate_predictions("old", old)?;
-        self.validate_predictions("new", new)?;
-        let MeasuredTestset {
-            oracle,
-            pool,
-            lazy,
-            truth_bits,
-            ..
-        } = self;
-        let truth_bits = truth_bits.as_ref().expect("fast lane requires truth_bits");
-        let oracle: Option<&mut (dyn easeml_ci_core::LabelOracle + 'static)> =
-            if *lazy { Some(oracle) } else { None };
-        let mut measurement = Measurement::new(pool, oracle, old, new)
-            .map_err(|e| ServeError::BadRequest(e.to_string()))?;
-        measurement
-            .derive_counts_packed_with_classes(condition, truth_bits)
+        Measurement::new(&mut self.pool, oracle, old, new)
+            .map_err(|e| ServeError::BadRequest(e.to_string()))?
+            .with_classes(self.classes, self.truth_bits.as_ref())
+            .counts(condition, 0..old.len())
             .map_err(|e| ServeError::BadRequest(format!("measurement failed: {e}")))
     }
 }
@@ -562,13 +499,28 @@ pub struct GateReceipt {
     pub labels: u64,
 }
 
+impl GateReceipt {
+    fn new(commit_id: &str, gated: GateStep, outcome: Tribool, passed: bool, labels: u64) -> Self {
+        GateReceipt {
+            commit_id: commit_id.to_owned(),
+            step: gated.step,
+            era: gated.era,
+            signal: gated.signal,
+            accepted: gated.accepted,
+            outcome,
+            passed,
+            alarm: gated.alarm,
+            steps_remaining: gated.steps_remaining,
+            labels,
+        }
+    }
+}
+
 /// A point-in-time capture of the gate counters, used to roll back a
 /// mutation whose journal append failed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GateMark {
-    steps_used: u32,
-    era: u32,
-    retired: bool,
+    gate: Gate,
     history_len: usize,
 }
 
@@ -579,9 +531,7 @@ pub struct Project {
     script_text: String,
     script: CiScript,
     estimate: SampleSizeEstimate,
-    steps_used: u32,
-    era: u32,
-    retired: bool,
+    gate: Gate,
     history: CommitHistory,
     /// Server-side testset state — present iff the registration uploaded
     /// a testset (the project then accepts predictions submissions).
@@ -666,11 +616,9 @@ impl Project {
         Ok(Project {
             name: name.to_owned(),
             script_text: script_text.to_owned(),
+            gate: Gate::new(script.steps(), script.adaptivity()),
             script,
             estimate,
-            steps_used: 0,
-            era: 0,
-            retired: false,
             history: CommitHistory::new(),
             measured,
             pred_digests: Vec::new(),
@@ -764,18 +712,14 @@ impl Project {
     }
 
     fn ensure_gate_open(&self) -> Result<(), ServeError> {
-        if self.retired {
-            return Err(ServeError::Gone(
-                "testset era is retired; install a fresh testset".into(),
-            ));
-        }
-        if self.steps_used >= self.script.steps() {
-            return Err(ServeError::Gone(format!(
-                "step budget H = {} exhausted; install a fresh testset",
-                self.script.steps()
-            )));
-        }
-        Ok(())
+        self.gate.check_open().map_err(|e| {
+            ServeError::Gone(match e {
+                EngineError::BudgetExhausted { steps } => {
+                    format!("step budget H = {steps} exhausted; install a fresh testset")
+                }
+                _ => "testset era is retired; install a fresh testset".into(),
+            })
+        })
     }
 
     fn submit_with_digest(
@@ -801,33 +745,11 @@ impl Project {
         self.ensure_gate_open()?;
         let est = submission.counts.estimates_for(self.script.condition())?;
         let (passed, outcome) = decide(self.script.condition(), &est, self.script.mode());
-        self.steps_used += 1;
-        let step = self.steps_used;
-
-        let adaptivity = self.script.adaptivity();
-        // Same contract as the engine: with `adaptivity: none` every
-        // commit lands in the repository (the developer never sees the
-        // bit); the *accepted* baseline only advances on a true pass.
-        let accepted = match adaptivity {
-            Adaptivity::None => true,
-            Adaptivity::Full | Adaptivity::FirstChange => passed,
-        };
-        let signal = adaptivity.releases_signal().then_some(passed);
-
-        let mut alarm = None;
-        if adaptivity.retires_on_pass() && passed {
-            alarm = Some(AlarmReason::PassedInHybrid);
-        } else if self.steps_used >= self.script.steps() {
-            alarm = Some(AlarmReason::BudgetExhausted);
-        }
-        if alarm.is_some() {
-            self.retired = true;
-        }
-
+        let gated = self.gate.advance(passed);
         self.history.push(HistoryEntry {
             commit_id: submission.commit_id.clone(),
-            step,
-            era: self.era,
+            step: gated.step,
+            era: gated.era,
             estimates: CommitEstimates {
                 d: Some(est.d),
                 n: Some(est.n),
@@ -837,23 +759,18 @@ impl Project {
             },
             outcome,
             passed,
-            accepted,
+            accepted: gated.accepted,
         });
         self.pred_digests.push(digest);
         self.per_class_history
             .push(submission.counts.per_class.clone());
-        Ok(GateReceipt {
-            commit_id: submission.commit_id.clone(),
-            step,
-            era: self.era,
-            signal,
-            accepted,
+        Ok(GateReceipt::new(
+            &submission.commit_id,
+            gated,
             outcome,
             passed,
-            alarm,
-            steps_remaining: self.script.steps() - self.steps_used,
-            labels: submission.counts.labels,
-        })
+            submission.counts.labels,
+        ))
     }
 
     /// If `submission` is an exact redelivery of an evaluation already
@@ -873,26 +790,17 @@ impl Project {
     pub fn duplicate_receipt(&self, submission: &CommitSubmission) -> Option<GateReceipt> {
         submission.counts.validate().ok()?;
         let est = submission.counts.estimates();
-        let index = self
-            .history
-            .entries()
-            .iter()
-            .enumerate()
-            .rev()
-            .take_while(|(_, e)| e.era == self.era)
-            .find(|(i, e)| {
-                e.commit_id == submission.commit_id
-                    && e.estimates.n == Some(est.n)
-                    && e.estimates.o == Some(est.o)
-                    && e.estimates.d == Some(est.d)
-                    && e.estimates.labels_requested == submission.counts.labels
-                    // Identical scalar triples can still carry different
-                    // per-class confusion shapes — and thus different
-                    // F1/top-k verdicts — so the dedup key includes them.
-                    && self.per_class_history.get(*i) == Some(&submission.counts.per_class)
-            })
-            .map(|(i, _)| i)?;
-        Some(self.receipt_for_entry(&self.history.entries()[index]))
+        let index = self.find_in_era(&submission.commit_id, |i, e| {
+            e.estimates.n == Some(est.n)
+                && e.estimates.o == Some(est.o)
+                && e.estimates.d == Some(est.d)
+                && e.estimates.labels_requested == submission.counts.labels
+                // Identical scalar triples can still carry different
+                // per-class confusion shapes — and thus different
+                // F1/top-k verdicts — so the dedup key includes them.
+                && self.per_class_history.get(i) == Some(&submission.counts.per_class)
+        })?;
+        Some(self.receipt_for_entry(index))
     }
 
     /// If `submission` redelivers prediction vectors already evaluated in
@@ -919,56 +827,42 @@ impl Project {
         submission: &PredictionsSubmission,
         digest: u64,
     ) -> Option<(GateReceipt, EvalCounts)> {
-        let entries = self.history.entries();
-        let index = entries
+        let index = self.find_in_era(&submission.commit_id, |i, _| {
+            self.pred_digests.get(i).copied().flatten() == Some(digest)
+        })?;
+        Some((self.receipt_for_entry(index), self.counts_from_entry(index)))
+    }
+
+    /// Index of the latest current-era history entry for `commit_id`
+    /// that `matches` accepts.
+    fn find_in_era(
+        &self,
+        commit_id: &str,
+        matches: impl Fn(usize, &HistoryEntry) -> bool,
+    ) -> Option<usize> {
+        let era = self.gate.era();
+        self.history
+            .entries()
             .iter()
             .enumerate()
             .rev()
-            .take_while(|(_, e)| e.era == self.era)
-            .find(|(i, e)| {
-                e.commit_id == submission.commit_id
-                    && self.pred_digests.get(*i).copied().flatten() == Some(digest)
-            })
-            .map(|(i, _)| i)?;
-        let entry = &entries[index];
-        Some((
-            self.receipt_for_entry(entry),
-            self.counts_from_entry(index, entry),
-        ))
+            .take_while(|(_, e)| e.era == era)
+            .find(|(i, e)| e.commit_id == commit_id && matches(*i, e))
+            .map(|(i, _)| i)
     }
 
-    /// Reconstruct the receipt a recorded evaluation originally produced.
-    fn receipt_for_entry(&self, entry: &HistoryEntry) -> GateReceipt {
-        let adaptivity = self.script.adaptivity();
-        // Retirement can only have been triggered by the era's final
-        // evaluation, so only that entry's receipt carried an alarm.
-        let is_final = self
-            .history
-            .last()
-            .is_some_and(|last| last.era == entry.era && last.step == entry.step);
-        let alarm = if self.retired && is_final {
-            if adaptivity.retires_on_pass() && entry.passed {
-                Some(AlarmReason::PassedInHybrid)
-            } else {
-                Some(AlarmReason::BudgetExhausted)
-            }
-        } else {
-            None
-        };
-        GateReceipt {
-            commit_id: entry.commit_id.clone(),
-            step: entry.step,
-            era: entry.era,
-            signal: adaptivity.releases_signal().then_some(entry.passed),
-            accepted: entry.accepted,
-            outcome: entry.outcome,
-            passed: entry.passed,
-            alarm,
-            // As the original receipt computed it: the budget left right
-            // after this evaluation (NOT collapsed to 0 by retirement).
-            steps_remaining: self.script.steps() - entry.step,
-            labels: entry.estimates.labels_requested,
-        }
+    /// Reconstruct the receipt history entry `index` (of the current
+    /// era) originally produced.
+    fn receipt_for_entry(&self, index: usize) -> GateReceipt {
+        let entry = &self.history.entries()[index];
+        let is_final = index + 1 == self.history.len();
+        GateReceipt::new(
+            &entry.commit_id,
+            self.gate.replay(entry, is_final),
+            entry.outcome,
+            entry.passed,
+            entry.estimates.labels_requested,
+        )
     }
 
     /// Reconstruct the derived counts a predictions-mode history entry
@@ -976,7 +870,8 @@ impl Project {
     /// rounding `estimate × samples` recovers the integer counts; the
     /// per-class confusion counts are carried verbatim in
     /// `per_class_history`.
-    fn counts_from_entry(&self, index: usize, entry: &HistoryEntry) -> EvalCounts {
+    fn counts_from_entry(&self, index: usize) -> EvalCounts {
+        let entry = &self.history.entries()[index];
         let samples = self.measured.as_ref().map_or(0, |m| m.len() as u64);
         let s = samples as f64;
         let count = |est: Option<f64>| (est.unwrap_or(0.0) * s).round() as u64;
@@ -997,10 +892,7 @@ impl Project {
     /// Projects with a server-side testset must instead hand the new
     /// era's data over through [`Project::install_testset`].
     pub fn fresh_testset(&mut self) -> u32 {
-        self.era += 1;
-        self.steps_used = 0;
-        self.retired = false;
-        self.era
+        self.gate.fresh_era()
     }
 
     /// Install a fresh *server-side* testset: replace the measured pool
@@ -1049,29 +941,25 @@ impl Project {
     /// Steps consumed in the current era.
     #[must_use]
     pub fn steps_used(&self) -> u32 {
-        self.steps_used
+        self.gate.steps_used()
     }
 
     /// Steps remaining before the budget alarm (0 when retired).
     #[must_use]
     pub fn steps_remaining(&self) -> u32 {
-        if self.retired {
-            0
-        } else {
-            self.script.steps() - self.steps_used
-        }
+        self.gate.steps_remaining()
     }
 
     /// Current testset era.
     #[must_use]
     pub fn era(&self) -> u32 {
-        self.era
+        self.gate.era()
     }
 
     /// Whether the current era is retired (fresh testset required).
     #[must_use]
     pub fn is_retired(&self) -> bool {
-        self.retired
+        self.gate.is_retired()
     }
 
     /// The evaluation history across all eras.
@@ -1121,9 +1009,7 @@ impl Project {
     ) {
         debug_assert_eq!(history.len(), pred_digests.len());
         debug_assert_eq!(history.len(), per_class_history.len());
-        self.steps_used = steps_used;
-        self.era = era;
-        self.retired = retired;
+        self.gate.restore(steps_used, era, retired);
         self.history = history;
         self.pred_digests = pred_digests;
         self.per_class_history = per_class_history;
@@ -1165,9 +1051,7 @@ impl Project {
     /// [`crate::store::ProjectSlot`]).
     pub(crate) fn gate_mark(&self) -> GateMark {
         GateMark {
-            steps_used: self.steps_used,
-            era: self.era,
-            retired: self.retired,
+            gate: self.gate,
             history_len: self.history.len(),
         }
     }
@@ -1177,9 +1061,7 @@ impl Project {
     /// history is truncated, never rebuilt). Label-pool and testset
     /// state are restored separately (see [`crate::store::ProjectSlot`]).
     pub(crate) fn rollback_to(&mut self, mark: GateMark) {
-        self.steps_used = mark.steps_used;
-        self.era = mark.era;
-        self.retired = mark.retired;
+        self.gate = mark.gate;
         self.history.truncate(mark.history_len);
         self.pred_digests.truncate(mark.history_len);
         self.per_class_history.truncate(mark.history_len);
@@ -1201,7 +1083,6 @@ pub fn serving_estimator() -> SampleSizeEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easeml_ci_core::LabelOracle;
 
     const SCRIPT: &str = "ml:\n\
         \x20 - condition  : n > 0.6 +/- 0.2\n\
@@ -1432,10 +1313,10 @@ mod tests {
 
     #[test]
     fn measurement_lanes_agree_through_serving_state() {
-        // The dispatch in `measure` picks the packed lane for the
-        // serving-relevant shapes; force both lanes over identical
-        // cloned state and require identical counts AND identical
-        // label-pool/oracle state afterwards.
+        // `measure` runs on the packed kernel while the cached truth
+        // packing is present; dropping it from a clone forces the
+        // per-item kernel over identical state. Both must agree on the
+        // counts AND on the label-pool/oracle state afterwards.
         let conditions = ["d < 0.7 +/- 0.1", "n - o > 0.0 +/- 0.2", "n > 0.6 +/- 0.2"];
         for lazy in [false, true] {
             let (mut spec, old, new) = pred_fixture(100, 50, 90);
@@ -1446,13 +1327,17 @@ mod tests {
                 let condition = script.condition();
                 let mut packed = MeasuredTestset::from_spec(spec.clone()).unwrap();
                 assert!(packed.truth_bits.is_some(), "2 classes pack");
-                let mut scalar = packed.clone();
-                let a = packed.measure_packed(condition, &old, &new).unwrap();
-                let b = scalar.measure_scalar(condition, &old, &new).unwrap();
+                let mut per_item = packed.clone();
+                per_item.truth_bits = None;
+                let a = packed.measure(condition, &old, &new).unwrap();
+                let b = per_item.measure(condition, &old, &new).unwrap();
                 assert_eq!(a, b, "lazy={lazy} condition={text}");
-                assert_eq!(packed.labeled_count(), scalar.labeled_count());
-                assert_eq!(packed.labeled_indices(), scalar.labeled_indices());
-                assert_eq!(packed.oracle.labels_served(), scalar.oracle.labels_served());
+                assert_eq!(packed.labeled_count(), per_item.labeled_count());
+                assert_eq!(packed.labeled_indices(), per_item.labeled_indices());
+                assert_eq!(
+                    packed.oracle.labels_served(),
+                    per_item.oracle.labels_served()
+                );
             }
         }
         // Wide class counts refuse to pack and fall back cleanly.
@@ -1565,6 +1450,24 @@ mod tests {
         assert_ne!(ok.digest(), full.digest());
         assert_ne!(ok.digest(), wide.digest());
         assert_eq!(ok.digest(), ok.clone().digest());
+    }
+
+    /// Testset and prediction digests name journal records and blobs on
+    /// disk, so their values are pinned, not just their separation.
+    #[test]
+    fn digests_are_pinned() {
+        let spec = TestsetSpec {
+            truth: vec![0, 1, 2, 1, 0],
+            classes: 3,
+            lazy: true,
+        };
+        assert_eq!(spec.digest(), 0x89a9_c62a_1006_492e);
+        let sub = PredictionsSubmission {
+            commit_id: "c".into(),
+            old: vec![0, 1, 1, 0],
+            new: vec![1, 1, 0, 0],
+        };
+        assert_eq!(sub.digest(), 0x8a5c_a96e_79e7_7c2b);
     }
 
     #[test]

@@ -163,16 +163,22 @@ impl SharedJournal {
         Ok(())
     }
 
-    /// Sync inline on behalf of the snapshot path (all modes). Does not
-    /// poison on failure — the unsynced suffix simply stays unsynced
-    /// and the snapshot attempt is aborted by the caller.
+    /// Sync inline on behalf of the snapshot path (all modes). Like the
+    /// flusher, skips the `sync_data` when nothing was appended since
+    /// the last sync, so a snapshot commit costs one flush whichever of
+    /// the two runs first. Does not poison on failure — the unsynced
+    /// suffix simply stays unsynced and the snapshot attempt is aborted
+    /// by the caller.
     pub(crate) fn sync_inline(&self) -> Result<(), ServeError> {
         let mut inner = self.inner.lock().unwrap();
         if inner.poisoned {
             return Err(Self::poisoned_err());
         }
-        inner.file.sync_data()?;
-        inner.synced_len = inner.file.len()?;
+        let len = inner.file.len()?;
+        if len != inner.synced_len {
+            inner.file.sync_data()?;
+            inner.synced_len = len;
+        }
         Ok(())
     }
 
@@ -641,6 +647,58 @@ mod tests {
         journal.sync_inline().unwrap();
         // Nothing new since the inline sync: flush is a no-op success.
         assert_eq!(journal.flush(), Ok(()));
+    }
+
+    /// A `VfsFile` that counts its `sync_data` calls.
+    #[derive(Debug)]
+    struct CountingFile {
+        inner: Box<dyn VfsFile>,
+        syncs: Arc<Mutex<u64>>,
+    }
+
+    impl VfsFile for CountingFile {
+        fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+            self.inner.write_all(buf)
+        }
+        fn sync_data(&self) -> std::io::Result<()> {
+            *self.syncs.lock().unwrap() += 1;
+            self.inner.sync_data()
+        }
+        fn len(&self) -> std::io::Result<u64> {
+            self.inner.len()
+        }
+        fn set_len(&self, len: u64) -> std::io::Result<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    #[test]
+    fn sync_inline_skips_fsync_when_flusher_already_covered() {
+        let vfs = MemVfs::new();
+        vfs.create_dir_all(Path::new("/j")).unwrap();
+        let syncs = Arc::new(Mutex::new(0));
+        let file = CountingFile {
+            inner: vfs.open_append(Path::new("/j/journal.log")).unwrap(),
+            syncs: Arc::clone(&syncs),
+        };
+        let journal = Arc::new(SharedJournal::new(Box::new(file)).unwrap());
+        let group = GroupCommit::new(None);
+        journal.append(b"a\n").unwrap();
+        let w = group.stage(StagedOp::Sync(Arc::clone(&journal)));
+        assert_eq!(w.wait(), Ok(()));
+        // The snapshot path's inline sync finds nothing new to force.
+        journal.sync_inline().unwrap();
+        assert_eq!(*syncs.lock().unwrap(), 1);
+        // A fresh append is synced inline exactly once more.
+        journal.append(b"b\n").unwrap();
+        journal.sync_inline().unwrap();
+        journal.sync_inline().unwrap();
+        assert_eq!(*syncs.lock().unwrap(), 2);
+        let cut = vfs.power_cut_view();
+        assert_eq!(
+            cut.read_to_string(Path::new("/j/journal.log")).unwrap(),
+            "a\nb\n"
+        );
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Property-based tests for the simulation substrate: joint-distribution
-//! feasibility and realised statistics.
+//! feasibility and realised statistics, and the measurement kernels
+//! under budgeted label oracles.
 
+use easeml_ci_core::dsl::parse_formula;
+use easeml_ci_core::{ClassBitmaps, LabelOracle, Measurement, Testset};
 use easeml_ml::metrics::{accuracy, prediction_difference};
 use easeml_sim::joint::{
     exact_pair, sample_pair, ConditionalEvolution, JointDistribution, PairSpec,
 };
+use easeml_sim::oracle::CountingOracle;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -112,5 +116,97 @@ proptest! {
             num_classes: 4,
         };
         prop_assert!(JointDistribution::solve(&spec).is_err());
+    }
+}
+
+/// Formulas of every label demand (free, disagreements, full) and every
+/// metric family.
+const MEASURED_FORMULAS: [&str; 8] = [
+    "d < 0.5 +/- 0.1",
+    "n - o > 0.0 +/- 0.1",
+    "n - o > 0.0 +/- 0.1 /\\ d < 0.5 +/- 0.1",
+    "n > 0.5 +/- 0.1",
+    "f1(n) - f1(o) > -0.02 +/- 0.01",
+    "topk(n, 3) - topk(o, 3) > 0.0 +/- 0.1",
+    "f1(n) > 0.5 +/- 0.1 /\\ d < 0.5 +/- 0.1",
+    "f1(n) - f1(o) + topk(n, 2) - topk(o, 2) > -0.1 +/- 0.05",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `Measurement::counts` with packed truth (the dispatch picks the
+    /// bit-packed kernel for whole-pool ranges that pack) against the
+    /// per-item reference (no packed truth): identical counts, per-class
+    /// counts, errors, pool state, oracle spend, and `labels_requested`
+    /// over sub-ranges, full / lazy / partially labelled pools, more
+    /// than 64 classes, and oracles whose budget runs out mid-scan.
+    #[test]
+    fn measurement_counts_dispatch_matches_per_item_reference(
+        len in 1usize..200,
+        classes_pick in 0u32..10,
+        pool_kind in 0u8..3,
+        budget_pick in 0u64..400,
+        range_pick in 0usize..400,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let classes = if classes_pick == 0 { 65 + (seed % 6) as u32 } else { classes_pick };
+        let mut draw = |n: u32| -> Vec<u32> {
+            (0..len).map(|_| rand::Rng::random_range(&mut rng, 0..n)).collect()
+        };
+        let truth = draw(classes);
+        let old = draw(classes);
+        // The new model agrees with the old one on about half the items.
+        let flips = draw(2);
+        let new: Vec<u32> = old
+            .iter()
+            .zip(draw(classes))
+            .zip(&flips)
+            .map(|((&o, r), &f)| if f == 0 { o } else { r })
+            .collect();
+        let range = if range_pick < 200 {
+            0..len
+        } else {
+            let a = range_pick % len;
+            a..a + (range_pick / 7) % (len - a + 1)
+        };
+        // Half the cases give the oracle a budget it may run out of.
+        let budget = (budget_pick < 200).then_some(budget_pick % (len as u64 + 1));
+        let truth_bits = ClassBitmaps::from_labels(&truth, classes);
+        prop_assert_eq!(truth_bits.is_some(), classes <= 64);
+        for text in MEASURED_FORMULAS {
+            let formula = parse_formula(text).unwrap();
+            let mut runs = Vec::new();
+            for truth_bits in [None, truth_bits.as_ref()] {
+                let mut pool = match pool_kind {
+                    0 => Testset::fully_labeled(truth.clone()),
+                    _ => Testset::unlabeled(len),
+                };
+                if pool_kind == 2 {
+                    for i in (0..len).step_by(3) {
+                        pool.set_label(i, truth[i]);
+                    }
+                }
+                let mut oracle = CountingOracle::new(truth.clone());
+                if let Some(budget) = budget {
+                    oracle = oracle.with_budget(budget);
+                }
+                let oracle_arg: Option<&mut (dyn LabelOracle + 'static)> =
+                    (pool_kind != 0).then_some(&mut oracle);
+                let mut m = Measurement::new(&mut pool, oracle_arg, &old, &new)
+                    .unwrap()
+                    .with_classes(classes, truth_bits);
+                let out = m.counts(&formula, range.clone()).map_err(|e| e.to_string());
+                let requested = m.labels_requested();
+                runs.push((out, requested, oracle.served(), pool));
+            }
+            let packed = runs.pop().unwrap();
+            let reference = runs.pop().unwrap();
+            prop_assert_eq!(&packed.0, &reference.0, "{} over {:?}", text, range);
+            prop_assert_eq!(packed.1, reference.1, "labels_requested: {}", text);
+            prop_assert_eq!(packed.2, reference.2, "oracle spend: {}", text);
+            prop_assert!(packed.3 == reference.3, "label pools diverged: {}", text);
+        }
     }
 }
